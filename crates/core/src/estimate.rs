@@ -39,8 +39,8 @@ impl DelayBreakdown {
 /// Algorithm 1's delay model.
 #[derive(Debug, Clone)]
 pub struct DelayEstimator {
-    /// Shared, not cloned: the ranker, both estimators, and the scheduler
-    /// shards all point at one `CoreConfig` allocation.
+    /// Shared, not cloned: accepts the scheduler's `Arc<CoreConfig>`
+    /// without copying the configuration.
     cfg: Arc<CoreConfig>,
 }
 
@@ -59,10 +59,9 @@ impl DelayEstimator {
     /// Estimate the one-way delay between two hosts over the learned map.
     /// Returns `None` when the map has no path between them yet.
     ///
-    /// Routes via the reference [`NetworkMap::path`]; the query hot path
-    /// ([`crate::rank::Ranker`]) resolves the path once through the
-    /// indexed engine and calls [`DelayEstimator::estimate_along`], which
-    /// yields identical numbers.
+    /// Routes via the reference [`NetworkMap::path`]. This is the reference
+    /// the query path ([`crate::snapshot::SchedSnapshot`]) is tested
+    /// against: it prices the same route from frozen per-arc evidence.
     pub fn estimate(
         &self,
         map: &NetworkMap,

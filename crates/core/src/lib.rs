@@ -18,11 +18,14 @@
 //!    via `Σ link_delay + Σ k·maxQ` (paper §III-C, Algorithm 1) and
 //!    available bandwidth via a queue-occupancy→utilization curve with
 //!    bottleneck aggregation (paper §III-D).
-//! 4. [`rank`] orders candidate edge servers for a requesting device under
-//!    a [`rank::Policy`]: the two INT-based policies plus the paper's
+//! 4. [`snapshot::SchedSnapshot`] freezes the map into an epoch and orders
+//!    candidate edge servers for a requesting device under a
+//!    [`rank::Policy`]: the two INT-based policies plus the paper's
 //!    baselines (*Nearest*, *Random*).
 //! 5. [`sched::SchedulerCore`] glues it together behind the
-//!    request/response interface of Fig. 1 (steps 3–4).
+//!    request/response interface of Fig. 1 (steps 3–4), publishing an
+//!    epoch whenever a query finds the map moved; [`shard`] serves the
+//!    same epochs from N concurrent read shards.
 //!
 //! Extensions the paper lists as future work are also implemented:
 //! [`tuning`] (data-driven calibration of the conversion factor *k*),
@@ -35,7 +38,6 @@ pub mod config;
 pub mod coverage;
 pub mod estimate;
 pub mod map;
-pub mod pathidx;
 pub mod rank;
 pub mod sched;
 pub mod shard;
@@ -47,7 +49,6 @@ pub use compute::{Capabilities, CompositePolicy, ComputeTracker};
 pub use config::CoreConfig;
 pub use estimate::{BandwidthEstimator, DelayEstimator};
 pub use map::{EdgeId, EdgeState, NetNode, NetworkMap};
-pub use pathidx::{PathEngine, PathEngineStats};
 pub use rank::{ExcludeReason, Policy, RankOutcome, RankedServer};
 pub use sched::SchedulerCore;
 pub use shard::{EpochSlot, RankQuery, ShardedScheduler};

@@ -3,27 +3,48 @@
 
 use crate::collector::IntCollector;
 use crate::config::CoreConfig;
-use crate::rank::{Policy, RankOutcome, RankedServer, Ranker, StaticDistances};
+use crate::map::NetNode;
+use crate::rank::{Policy, RankOutcome, RankedServer, StaticDistances};
+use crate::snapshot::{
+    PublishStats, SchedSnapshot, SnapshotPublisher, SnapshotScratch, SnapshotServeStats,
+};
 use int_obs::{CandidateEstimate, DecisionAudit, DecisionRecord};
 use int_packet::msgs::{Candidate, RankingKind};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
-/// The complete scheduler state: collector + ranking engine.
+/// The complete scheduler state: the collector and its learned map, plus
+/// the epoch snapshots every query is answered from.
+///
+/// A query first evicts telemetry past the horizon, then publishes a new
+/// [`SchedSnapshot`] if the map moved since the last epoch (keyed on the
+/// `(topology_generation, metrics_generation, probes_accepted)` triple),
+/// then evaluates against the current snapshot. Publishing is O(dirty
+/// edges) while the topology holds, and a query against an unchanged map
+/// publishes nothing.
 pub struct SchedulerCore {
     collector: IntCollector,
-    ranker: Ranker,
-    /// Shared with the ranker and both estimators — one allocation for
-    /// the whole control plane (and for every shard of the sharded one).
+    /// Shared with every snapshot — one allocation for the whole control
+    /// plane (and for every shard of the sharded one).
     cfg: Arc<CoreConfig>,
+    distances: Arc<StaticDistances>,
+    /// The Random baseline's shuffle stream: one long-lived RNG, so a
+    /// sequence of Random rankings is a pure function of the seed.
+    rng: SmallRng,
+    /// The map's one publisher (its dirty-edge list has one consumer).
+    publisher: SnapshotPublisher,
+    /// The most recently published epoch and its publish key (`None`
+    /// before the first query).
+    current: Option<((u64, u64, u64), Arc<SchedSnapshot>)>,
+    /// Query-path scratch: Dijkstra buffers and per-epoch path cache.
+    scratch: SnapshotScratch,
     /// Policy used for INT-based queries (the baselines are selected
     /// explicitly via [`SchedulerCore::rank_with`]).
     default_policy: Policy,
     /// Decision audit trail (disabled by default: one branch per query).
     audit: DecisionAudit,
-    /// Query-path scratch: candidate list, silent-origin list, and the
-    /// outcome buffer behind the by-value entry points.
-    cand_scratch: Vec<u32>,
-    silent_scratch: Vec<u32>,
+    /// Outcome buffer behind the by-value entry points.
     outcome_scratch: RankOutcome,
 }
 
@@ -44,12 +65,14 @@ impl SchedulerCore {
         collector.map_mut().set_qlen_retention(cfg.qlen_window_ns);
         SchedulerCore {
             collector,
-            ranker: Ranker::new(Arc::clone(&cfg), distances, seed),
             cfg,
+            distances: distances.into(),
+            rng: SmallRng::seed_from_u64(seed),
+            publisher: SnapshotPublisher::new(),
+            current: None,
+            scratch: SnapshotScratch::new(),
             default_policy: Policy::IntDelay,
             audit: DecisionAudit::default(),
-            cand_scratch: Vec::new(),
-            silent_scratch: Vec::new(),
             outcome_scratch: RankOutcome::default(),
         }
     }
@@ -71,38 +94,70 @@ impl SchedulerCore {
     }
 
     /// The shared configuration handle (one allocation across scheduler,
-    /// ranker, estimators, and shards).
+    /// snapshots, and shards).
     pub fn config_arc(&self) -> Arc<CoreConfig> {
         Arc::clone(&self.cfg)
     }
 
     /// The shared static-distance table handle (Nearest baseline).
     pub fn distances_arc(&self) -> Arc<StaticDistances> {
-        self.ranker.distances_arc()
+        Arc::clone(&self.distances)
     }
 
-    /// Enable or force-disable the ranker's path cache (determinism A/B
-    /// switch; results are identical either way, only the work differs).
-    pub fn set_path_cache_enabled(&mut self, on: bool) {
-        self.ranker.set_path_cache_enabled(on);
+    /// Query-path accounting: Dijkstra runs and path-cache hits/misses of
+    /// this scheduler's snapshot evaluation.
+    pub fn path_stats(&self) -> SnapshotServeStats {
+        self.scratch.stats()
     }
 
-    /// Path-engine accounting counters (steady-state and invalidation
-    /// tests).
-    pub fn path_stats(&self) -> crate::pathidx::PathEngineStats {
-        self.ranker.path_stats()
+    /// The route the ranking would price between two hosts at `now_ns`
+    /// (after eviction at that time) — the reference `NetworkMap::path`
+    /// answer, read off the current snapshot (tests and diagnostics).
+    pub fn learned_path(&mut self, from: u32, to: u32, now_ns: u64) -> Option<Vec<NetNode>> {
+        self.refresh(now_ns).learned_path(&mut self.scratch, from, to)
     }
 
-    /// The route the ranking hot path would use between two hosts right
-    /// now — the indexed engine's answer over the learned map (tests and
-    /// diagnostics; agrees with `NetworkMap::path` by construction).
-    pub fn learned_path(
-        &mut self,
-        from: u32,
-        to: u32,
-    ) -> Option<Vec<crate::map::NetNode>> {
-        use crate::map::NetNode;
-        self.ranker.learned_path(self.collector.map(), NetNode::Host(from), NetNode::Host(to))
+    /// Evict telemetry past the horizon at `now_ns`, then publish a new
+    /// epoch if the map or the origin table moved since the last one.
+    /// Returns the current epoch.
+    ///
+    /// The publish key is the `(topology_generation, metrics_generation,
+    /// probes_accepted)` triple: topology or metrics movement invalidates
+    /// the frozen state, and `probes_accepted` catches ingest that only
+    /// touched per-origin accounting (a probe with no records still
+    /// refreshes `last_rx_ns`, which feeds the silence exclusion).
+    pub(crate) fn refresh(&mut self, now_ns: u64) -> Arc<SchedSnapshot> {
+        self.collector.map_mut().evict_stale(now_ns, self.cfg.eviction_horizon_ns);
+        let key = (
+            self.collector.map().topology_generation(),
+            self.collector.map().metrics_generation(),
+            self.collector.probes_accepted(),
+        );
+        if let Some((published, snap)) = &self.current {
+            if *published == key {
+                return Arc::clone(snap);
+            }
+        }
+        let epoch = self.epoch() + 1;
+        let snap =
+            self.publisher.publish(&mut self.collector, &self.cfg, &self.distances, epoch, now_ns);
+        self.current = Some((key, Arc::clone(&snap)));
+        snap
+    }
+
+    /// Epoch counter of the most recent publish (0 = none yet).
+    pub(crate) fn epoch(&self) -> u64 {
+        self.current.as_ref().map_or(0, |(_, snap)| snap.epoch())
+    }
+
+    /// Full vs incremental publish counters.
+    pub(crate) fn publish_stats(&self) -> PublishStats {
+        self.publisher.stats()
+    }
+
+    /// The publisher (incremental-path selection).
+    pub(crate) fn publisher_mut(&mut self) -> &mut SnapshotPublisher {
+        &mut self.publisher
     }
 
     /// The telemetry collector (probe ingest + learned map).
@@ -184,8 +239,9 @@ impl SchedulerCore {
     ///
     /// Failure handling happens here: telemetry older than the eviction
     /// horizon is removed from the map first, and origins silent beyond
-    /// the silence horizon are handed to the ranker for exclusion — a host
-    /// behind a dead link is never ranked on ghost telemetry.
+    /// the silence horizon are excluded — a host behind a dead link is
+    /// never ranked on ghost telemetry. See
+    /// [`SchedSnapshot::rank_detailed`] for the full rule.
     pub fn rank_detailed_with(
         &mut self,
         requester: u32,
@@ -206,23 +262,8 @@ impl SchedulerCore {
         now_ns: u64,
         out: &mut RankOutcome,
     ) {
-        self.collector.map_mut().evict_stale(now_ns, self.cfg.eviction_horizon_ns);
-        self.collector.silent_origins_into(
-            now_ns,
-            self.cfg.origin_silence_ns,
-            &mut self.silent_scratch,
-        );
-        self.cand_scratch.clear();
-        self.cand_scratch.extend(self.collector.map().hosts().filter(|&h| h != requester));
-        self.ranker.rank_detailed_into(
-            self.collector.map(),
-            requester,
-            &self.cand_scratch,
-            policy,
-            now_ns,
-            &self.silent_scratch,
-            out,
-        );
+        let snap = self.refresh(now_ns);
+        snap.rank_detailed_into(&mut self.scratch, requester, policy, now_ns, &mut self.rng, out);
         if self.audit.enabled() {
             self.audit.record(DecisionRecord {
                 at_ns: now_ns,
@@ -298,10 +339,14 @@ mod tests {
     }
 
     fn core_with_two_servers() -> SchedulerCore {
+        core_seeded(42)
+    }
+
+    fn core_seeded(seed: u64) -> SchedulerCore {
         let mut d = StaticDistances::new();
         d.set(6, 1, 3);
         d.set(6, 2, 5);
-        let mut core = SchedulerCore::new(6, CoreConfig::default(), d, 42);
+        let mut core = SchedulerCore::new(6, CoreConfig::default(), d, seed);
         // Server 1 congested (switch 10 q=20), server 2 clean.
         let mut p1 = ProbePayload::new(1, 1, 0);
         p1.int.push(rec(10, 20, 11));
@@ -478,6 +523,175 @@ mod tests {
         let json = core.audit().to_json();
         assert!(json.contains(r#""reason":"OriginSilent""#), "{json}");
         assert!(json.contains(r#""policy":"IntDelay""#));
+    }
+
+    /// Silent and pathless candidates are excluded together, with their
+    /// reasons in host order; the baselines still rank everyone.
+    #[test]
+    fn excludes_silent_and_pathless_with_reasons() {
+        use crate::rank::ExcludeReason;
+        let ms = 1_000_000u64;
+        let mut core = core_with_two_servers();
+        core.register_host(99); // known, but never probed
+        for i in 1..=60u64 {
+            let mut p2 = ProbePayload::new(2, 1 + i, 0);
+            p2.int.push(rec(12, 0, 11));
+            p2.int.push(rec(11, 0, 22));
+            core.on_probe(&p2.to_bytes(), 32 * ms + i * 100 * ms);
+        }
+        let now = 32 * ms + 6_000 * ms;
+        let out = core.rank_detailed_with(6, Policy::IntDelay, now);
+        assert_eq!(out.ranked.iter().map(|s| s.host).collect::<Vec<_>>(), vec![2]);
+        assert_eq!(
+            out.excluded,
+            vec![(1, ExcludeReason::OriginSilent), (99, ExcludeReason::NoFreshPath)]
+        );
+        for policy in [Policy::Nearest, Policy::Random] {
+            let out = core.rank_detailed_with(6, policy, now);
+            assert_eq!(out.ranked.len(), 3, "{policy:?} ignores telemetry silence");
+            assert!(out.excluded.is_empty());
+        }
+    }
+
+    /// An empty map is warm-up, not failure: everyone is ranked. One
+    /// silent origin among pathless candidates is a failure signal.
+    #[test]
+    fn warm_up_fallback_only_without_silent_origins() {
+        use crate::rank::ExcludeReason;
+        let mut core = SchedulerCore::new(6, CoreConfig::default(), StaticDistances::new(), 1);
+        core.register_host(5);
+        core.register_host(3);
+        let out = core.rank_detailed_with(6, Policy::IntDelay, 0);
+        assert_eq!(out.ranked.iter().map(|s| s.host).collect::<Vec<_>>(), vec![3, 5]);
+        assert!(out.excluded.is_empty());
+
+        // Host 3 sends one record-less probe (an origin with no path),
+        // then goes quiet past the silence horizon.
+        core.on_probe(&ProbePayload::new(3, 1, 0).to_bytes(), 1_000_000);
+        let out = core.rank_detailed_with(6, Policy::IntDelay, 5_000_000_000);
+        assert_eq!(
+            out.excluded,
+            vec![(3, ExcludeReason::OriginSilent), (5, ExcludeReason::NoFreshPath)]
+        );
+        assert!(out.ranked.is_empty(), "pathless peers stay out once failure is evident");
+    }
+
+    #[test]
+    fn random_follows_one_seeded_stream() {
+        use rand::seq::SliceRandom;
+        let order = |seed| {
+            let mut core = core_seeded(seed);
+            (0..4)
+                .map(|_| core.rank_with(6, Policy::Random, 32_000_000))
+                .map(|r| r.iter().map(|s| s.host).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        for seed in [1u64, 7] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let want: Vec<Vec<u32>> = (0..4)
+                .map(|_| {
+                    let mut v = vec![1u32, 2];
+                    v.shuffle(&mut rng);
+                    v
+                })
+                .collect();
+            assert_eq!(order(seed), want, "seed {seed}");
+        }
+        let seen: std::collections::BTreeSet<_> = (0..16).map(|s| order(s)[0].clone()).collect();
+        assert!(seen.len() > 1, "random actually varies across seeds");
+    }
+
+    /// Queries against an unchanged map publish nothing and re-run no
+    /// Dijkstra: every path after the first query is a cache hit.
+    #[test]
+    fn steady_state_queries_reuse_one_epoch_and_one_sssp() {
+        let mut core = core_with_two_servers();
+        core.rank_with(6, Policy::IntDelay, 32_000_000);
+        let (epoch, s) = (core.epoch(), core.path_stats());
+        assert_eq!(s.sssp_runs, 1, "2 candidates share one Dijkstra");
+        for _ in 0..50 {
+            core.rank_with(6, Policy::IntDelay, 32_000_000);
+            core.rank_with(6, Policy::IntBandwidth, 32_000_000);
+        }
+        let s2 = core.path_stats();
+        assert_eq!(core.epoch(), epoch, "no ingest, no new epoch");
+        assert_eq!(s2.sssp_runs, 1, "steady state never re-runs Dijkstra");
+        assert_eq!(s2.cache_misses, s.cache_misses);
+        assert_eq!(s2.cache_hits, s.cache_hits + 200, "every steady-state path is a hit");
+    }
+
+    /// Two routes host 1 → scheduler 6: 1–10–11–6 (fast, 5 ms links) and
+    /// 1–12–13–6 (slow, 30 ms links).
+    fn two_route_core(cfg: CoreConfig) -> SchedulerCore {
+        let mut core = SchedulerCore::new(6, cfg, StaticDistances::new(), 1);
+        for (seq, chain, lat_ms, t_ms) in [(1, [10, 11], 5, 22), (2, [12, 13], 30, 70)] {
+            core.collector_mut().ingest(&timed_probe(1, seq, &chain, lat_ms), t_ms * 1_000_000);
+        }
+        core
+    }
+
+    fn timed_probe(origin: u32, seq: u64, chain: &[u32], lat_ms: u64) -> ProbePayload {
+        let mut p = ProbePayload::new(origin, seq, 0);
+        for (i, &sw) in chain.iter().enumerate() {
+            p.int.push(IntRecord {
+                link_latency_ns: lat_ms * 1_000_000,
+                egress_ts_ns: (i as u64 + 1) * 11 * 1_000_000,
+                ..rec(sw, 0, 0)
+            });
+        }
+        p
+    }
+
+    /// A metric-only refresh (no topology change) that makes the other
+    /// route cheaper reroutes both the learned path and, with
+    /// `k_paths = 2`, the winning path's estimate.
+    #[test]
+    fn metric_only_refresh_reroutes() {
+        for k in [1u32, 2] {
+            let cfg = CoreConfig { k_paths: k, ..CoreConfig::default() };
+            let mut core = two_route_core(cfg.clone());
+            let t0 = 300_000_000;
+            let fast = core.learned_path(1, 6, t0).unwrap();
+            assert!(fast.contains(&NetNode::Switch(10)), "fast route first: {fast:?}");
+            let before = core.rank_with(6, Policy::IntDelay, t0)[0];
+
+            // The fast route's links degrade to 100 ms.
+            let topo = core.collector().map().topology_generation();
+            for seq in 3..=20 {
+                core.collector_mut().ingest(&timed_probe(1, seq, &[10, 11], 100), t0);
+            }
+            assert_eq!(core.collector().map().topology_generation(), topo, "metric-only");
+
+            let rerouted = core.learned_path(1, 6, t0).unwrap();
+            let after = core.rank_with(6, Policy::IntDelay, t0)[0];
+            let map = core.collector().map();
+            assert_eq!(Some(rerouted.clone()), map.path(&cfg, NetNode::Host(1), NetNode::Host(6)));
+            assert!(rerouted.contains(&NetNode::Switch(12)), "k={k}: reroutes: {rerouted:?}");
+            assert!(after.est_delay_ns > before.est_delay_ns, "k={k}: re-priced");
+            let de = crate::estimate::DelayEstimator::new(cfg.clone());
+            let want = map
+                .k_paths(&cfg, NetNode::Host(6), NetNode::Host(1), k)
+                .iter()
+                .map(|p| de.estimate_along(map, p, t0).total_ns())
+                .min()
+                .unwrap();
+            assert_eq!(after.est_delay_ns, want, "k={k}: the cheapest path wins");
+        }
+    }
+
+    /// Eviction restructures the graph: the dead route is gone at once,
+    /// and relearning restores it.
+    #[test]
+    fn eviction_drops_the_learned_path_until_relearned() {
+        let cfg = CoreConfig { eviction_horizon_ns: 10_000_000_000, ..CoreConfig::default() };
+        let mut core = SchedulerCore::new(6, cfg, StaticDistances::new(), 1);
+        core.collector_mut().ingest(&timed_probe(1, 1, &[10, 11], 5), 22_000_000);
+        assert!(core.learned_path(6, 1, 22_000_000).is_some());
+        let later = 22_000_000 + 10_000_000_001;
+        assert_eq!(core.learned_path(6, 1, later), None, "a dead path is never served");
+        core.collector_mut().ingest(&timed_probe(1, 2, &[10, 11], 5), later + 1);
+        assert!(core.learned_path(6, 1, later + 1).is_some());
+        assert_eq!(core.learned_path(6, 42, later + 1), None, "unknown hosts are unreachable");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //!
 //! * an **ingest half** — the wrapped [`SchedulerCore`], which keeps
 //!   mutating the live map exactly as before (probe harvest, host
-//!   registration, eviction), plus a publisher that freezes the map
-//!   into an immutable [`SchedSnapshot`] whenever a generation moved;
+//!   registration, eviction) and owns the map's one snapshot publisher;
+//!   [`ShardedScheduler::advance`] runs the core's publish step and
+//!   hands the resulting [`SchedSnapshot`] to the read half;
 //! * a **read half** — N worker shards, each owning a private
 //!   [`SnapshotScratch`], serving `rank_detailed` queries against the
 //!   current snapshot through an [`EpochSlot`]. Readers never take a
@@ -21,17 +22,22 @@
 //! batch is split into contiguous chunks of `ceil(len / workers)` — the
 //! same discipline as `experiments::par` — so slot numbers, and
 //! therefore results, are independent of the worker count: worker
-//! boundaries move, slot assignments don't. Because snapshot evaluation
-//! is a pure function of `(snapshot, query, slot)`, the outcome vector
-//! is byte-identical for 1, 2, or 8 shards, and equal to the
-//! single-threaded oracle evaluated at the same map state.
+//! boundaries move, slot assignments don't. Snapshot evaluation is a
+//! pure function of `(snapshot, query, rng)`, and a query's Random-policy
+//! RNG is derived from `(seed, epoch, slot)`, so the outcome vector is
+//! byte-identical for 1, 2, or 8 shards. For every other policy it also
+//! equals the sequential `SchedulerCore` evaluated at the same map
+//! state; Random draws per-slot streams here instead of the core's one
+//! long-lived stream, which concurrent serving cannot reproduce.
 
 use crate::config::CoreConfig;
 use crate::rank::{Policy, RankOutcome, RankedServer, StaticDistances};
 use crate::sched::SchedulerCore;
-use crate::snapshot::{PublishStats, SchedSnapshot, SnapshotPublisher, SnapshotScratch};
-use int_packet::ProbePayload;
+use crate::snapshot::{PublishStats, SchedSnapshot, SnapshotScratch};
 use int_obs::{Labels, MetricsRegistry};
+use int_packet::ProbePayload;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -116,17 +122,12 @@ struct RankShard {
 
 /// The sharded scheduler control plane: ingest + publish + N read shards.
 pub struct ShardedScheduler {
+    /// The ingest half; owns the publisher, epoch counter and publish key.
     core: SchedulerCore,
-    /// Epoch publisher: full CSR builds on topology change, O(dirty)
-    /// incremental patches otherwise.
-    publisher: SnapshotPublisher,
     slot: Arc<EpochSlot>,
     shards: Vec<Mutex<RankShard>>,
+    /// Base seed of the per-slot Random-policy RNG derivation.
     seed: u64,
-    epoch: u64,
-    /// `(topology_generation, metrics_generation, probes_accepted)` of the
-    /// last published snapshot — publishing is keyed on this triple.
-    published_key: Option<(u64, u64, u64)>,
     /// Global query counter: the next query's slot number.
     queries_total: u64,
     metrics: MetricsRegistry,
@@ -147,12 +148,9 @@ impl ShardedScheduler {
         let n = shards.max(1);
         ShardedScheduler {
             core,
-            publisher: SnapshotPublisher::new(),
             slot: Arc::new(EpochSlot::new()),
             shards: (0..n).map(|_| Mutex::new(RankShard::default())).collect(),
             seed,
-            epoch: 0,
-            published_key: None,
             queries_total: 0,
             metrics: MetricsRegistry::new(),
         }
@@ -176,7 +174,7 @@ impl ShardedScheduler {
 
     /// Epoch of the most recently published snapshot (0 = none yet).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.core.epoch()
     }
 
     /// Total queries admitted so far (the next query's slot number).
@@ -200,43 +198,19 @@ impl ShardedScheduler {
         &mut self.metrics
     }
 
-    /// Run eviction at `now_ns` and publish a fresh snapshot if anything
-    /// about the map changed since the last publish. Returns `true` if a
-    /// new epoch was published.
-    ///
-    /// The publish key is the `(topology_generation, metrics_generation,
-    /// probes_accepted)` triple: topology or metrics movement obviously
-    /// invalidates the frozen state, and `probes_accepted` catches
-    /// ingest that only touched per-origin accounting (a probe with no
-    /// records still refreshes `last_rx_ns`, which feeds the silence
-    /// exclusion).
+    /// Run eviction at `now_ns`, publish a fresh snapshot if anything
+    /// about the map changed since the last publish (the core's publish
+    /// step, see `SchedulerCore`), and hand the core's current snapshot
+    /// to the read shards. Returns `true` if the shards got a new epoch.
     pub fn advance(&mut self, now_ns: u64) -> bool {
-        let horizon = self.core.config().eviction_horizon_ns;
-        self.core.collector_mut().map_mut().evict_stale(now_ns, horizon);
-        let c = self.core.collector();
-        let key = (
-            c.map().topology_generation(),
-            c.map().metrics_generation(),
-            c.probes_accepted(),
-        );
-        if self.published_key == Some(key) {
+        let snap = self.core.refresh(now_ns);
+        let epoch = snap.epoch();
+        if epoch == self.slot.current_epoch() {
             return false;
         }
-        self.epoch += 1;
-        let cfg = self.core.config_arc();
-        let distances = self.core.distances_arc();
-        let snap = self.publisher.publish(
-            self.core.collector_mut(),
-            &cfg,
-            &distances,
-            self.seed,
-            self.epoch,
-            now_ns,
-        );
         self.slot.publish(snap);
-        self.published_key = Some(key);
         self.metrics.counter_inc("sched_snapshot_publishes", Labels::none());
-        self.metrics.gauge_set("sched_epoch", Labels::none(), self.epoch as i64, now_ns);
+        self.metrics.gauge_set("sched_epoch", Labels::none(), epoch as i64, now_ns);
         true
     }
 
@@ -254,13 +228,13 @@ impl ShardedScheduler {
 
     /// Full vs incremental publish counters.
     pub fn publish_stats(&self) -> PublishStats {
-        self.publisher.stats()
+        self.core.publish_stats()
     }
 
-    /// Force the publisher's incremental path on or off (benches, A/B
-    /// smokes); normally governed by `INT_SNAP_INCREMENTAL`.
+    /// Force the publisher's incremental path on or off (the full
+    /// rebuild is the reference it is benchmarked against).
     pub fn set_incremental_publish(&mut self, on: bool) {
-        self.publisher.set_incremental(on);
+        self.core.publisher_mut().set_incremental(on);
     }
 
     /// Serve a batch of queries against the current snapshot, one
@@ -283,8 +257,9 @@ impl ShardedScheduler {
         let n = self.shards.len().min(queries.len());
         let chunk = queries.len().div_ceil(n);
 
+        let seed = self.seed;
         if n <= 1 {
-            serve_chunk(&self.slot, &self.shards[0], queries, out, tag_base);
+            serve_chunk(&self.slot, &self.shards[0], seed, queries, out, tag_base);
         } else {
             std::thread::scope(|scope| {
                 let slot = &self.slot;
@@ -293,7 +268,7 @@ impl ShardedScheduler {
                     queries.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
                 {
                     let base = tag_base + (i * chunk) as u64;
-                    scope.spawn(move || serve_chunk(slot, &shards[i], qs, os, base));
+                    scope.spawn(move || serve_chunk(slot, &shards[i], seed, qs, os, base));
                 }
             });
         }
@@ -331,7 +306,7 @@ impl ShardedScheduler {
                 query.requester,
                 query.policy,
                 query.now_ns,
-                tag,
+                &mut slot_rng(self.seed, snap.epoch(), tag),
                 &mut out,
             );
             *served += 1;
@@ -353,6 +328,7 @@ impl ShardedScheduler {
 fn serve_chunk(
     slot: &EpochSlot,
     shard: &Mutex<RankShard>,
+    seed: u64,
     queries: &[RankQuery],
     out: &mut [RankOutcome],
     tag_base: u64,
@@ -364,9 +340,24 @@ fn serve_chunk(
     }
     let snap = cached.as_ref().expect("refresh returned true");
     for (j, (q, o)) in queries.iter().zip(out.iter_mut()).enumerate() {
-        snap.rank_detailed_into(scratch, q.requester, q.policy, q.now_ns, tag_base + j as u64, o);
+        let mut rng = slot_rng(seed, snap.epoch(), tag_base + j as u64);
+        snap.rank_detailed_into(scratch, q.requester, q.policy, q.now_ns, &mut rng, o);
     }
     *served += queries.len() as u64;
+}
+
+/// The Random-policy RNG of the query in global slot `slot` at `epoch`:
+/// deterministic for any worker count, because slots do not move.
+fn slot_rng(seed: u64, epoch: u64, slot: u64) -> SmallRng {
+    SmallRng::seed_from_u64(mix(seed ^ mix(epoch) ^ mix(slot.wrapping_add(0x9E37_79B9))))
+}
+
+/// SplitMix64's finalizer: a cheap, well-distributed u64 → u64 mix.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 /// Number of read shards to use: the `INT_SCHED_SHARDS` environment
@@ -483,6 +474,30 @@ mod tests {
                 Some(b) => assert_eq!(&got, b, "shards={n} vs shards=1"),
             }
         }
+    }
+
+    /// Random outcomes depend on the query's slot, not on which shard
+    /// serves it, and different slots draw different shuffles.
+    #[test]
+    fn random_batches_are_shard_count_invariant() {
+        let qs: Vec<RankQuery> = queries(32, 32_000_000)
+            .into_iter()
+            .map(|q| RankQuery { policy: Policy::Random, ..q })
+            .collect();
+        let serve = |n| {
+            let mut s = sharded(n);
+            s.advance(32_000_000);
+            let mut out = Vec::new();
+            s.serve_batch(&qs, &mut out);
+            out
+        };
+        let one = serve(1);
+        for n in [2usize, 3, 8] {
+            assert_eq!(serve(n), one, "shards={n}");
+        }
+        let orders: std::collections::BTreeSet<Vec<u32>> =
+            one.iter().map(|o| o.ranked.iter().map(|r| r.host).collect()).collect();
+        assert!(orders.len() > 1, "slots draw different shuffles");
     }
 
     #[test]

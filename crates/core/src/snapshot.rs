@@ -1,16 +1,19 @@
-//! Immutable epoch snapshots of the scheduler control plane.
+//! Immutable epoch snapshots of the scheduler control plane — the one
+//! place ranking is evaluated.
 //!
-//! The sharded scheduler (see [`crate::shard`]) splits `core::sched` into
-//! an **ingest half** that keeps mutating the live [`NetworkMap`] and a
-//! **read half** that serves `rank`/`rank_detailed` queries. The bridge
-//! is [`SchedSnapshot`]: a frozen, `Send + Sync` copy of everything a
-//! query needs, built from the [`PathEngine`](crate::pathidx::PathEngine)
-//! CSR machinery whenever the map's topology or metrics generation moves.
+//! [`SchedSnapshot`] is a frozen, `Send + Sync` copy of everything a rank
+//! query needs, published from the live [`NetworkMap`] whenever its
+//! topology or metrics generation (or the collector's accepted-probe
+//! count) moves. Both control planes answer from it:
+//! [`crate::sched::SchedulerCore`] publishes at query time when the map
+//! moved and evaluates against its own scratch; the sharded read half
+//! ([`crate::shard`]) serves batches against the epoch the core last
+//! published.
 //!
 //! A snapshot carries:
 //!
-//! * the CSR adjacency and ≥1-clamped traversal weights (byte-identical
-//!   to what the live engine would compute for the same generations);
+//! * the CSR adjacency (dense ids in ascending [`NetNode`] order, rows
+//!   sorted) and ≥1-clamped traversal weights;
 //! * per-arc *estimate* inputs: the unclamped effective link delay and
 //!   the resolved queue-occupancy evidence (which directed edge answers
 //!   for this arc under the direction-fallback policy, its harvest
@@ -20,28 +23,37 @@
 //!   and every probe origin's last-receive time, so origin-silence
 //!   exclusion is a pure function of the query's `now`.
 //!
-//! Queries evaluate against a per-shard [`SnapshotScratch`] (the PR-5
+//! Queries evaluate against a caller-owned [`SnapshotScratch`] (the
 //! dist/prev/heap Dijkstra buffers plus a per-epoch path cache), so N
-//! shards serve concurrently with zero shared mutable state. The
-//! evaluation mirrors [`Ranker`](crate::rank::Ranker) decision-for-
-//! decision; `tests/shard_determinism.rs` pins byte-equality against the
-//! single-threaded oracle across churn, eviction, and faults.
+//! shards serve concurrently with zero shared mutable state.
 //!
-//! The only sanctioned divergence is [`Policy::Random`]: the sequential
-//! ranker draws from one long-lived RNG stream, which cannot be
-//! reproduced when queries are served concurrently. Snapshot evaluation
-//! derives an RNG per query from `(seed, epoch, slot)` instead —
-//! deterministic for any worker count, but a *different* (equally
-//! uniform) shuffle than the sequential stream.
+//! # Determinism
+//!
+//! Routes are byte-identical to the reference [`NetworkMap::path`] /
+//! [`NetworkMap::k_paths`], and estimates to the reference
+//! `DelayEstimator`/`BandwidthEstimator::estimate_along` over them:
+//!
+//! * dense ids ascend in `NetNode` order (hosts before switches), so the
+//!   heap's `(dist, id)` tie-break equals the reference's
+//!   `(dist, NetNode)` tie-break;
+//! * CSR rows are sorted ascending, matching the reference's
+//!   `BTreeSet`-ordered relaxation order, so equal-cost predecessor
+//!   selection is identical;
+//! * the reference early-exits when the target pops, the shared SSSP
+//!   runs to completion; both agree on every extracted path (weights are
+//!   ≥ 1, so a popped node's predecessor is final).
+//!
+//! The agreement is pinned by the churn proptests in
+//! `tests/proptest_core.rs`. [`Policy::Random`] shuffles with an RNG the
+//! caller passes in: the sequential scheduler hands over one long-lived
+//! stream, the shards derive one per query slot.
 
 use crate::collector::IntCollector;
 use crate::config::{CoreConfig, DirectionFallback, HopSignal};
 use crate::map::{NetNode, NetworkMap};
-use crate::pathidx::PathEngine;
 use crate::rank::{ExcludeReason, Policy, RankOutcome, RankedServer, StaticDistances};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
@@ -84,7 +96,7 @@ const NO_QLEN: ArcQlen = ArcQlen {
 
 /// The structural half of a snapshot: CSR adjacency and the candidate
 /// host universe. Immutable for as long as the map's `topo_gen` holds,
-/// so consecutive incremental epochs share one allocation via `Arc`.
+/// so consecutive epochs share one allocation via `Arc`.
 #[derive(Debug)]
 struct CsrTopo {
     /// All nodes in ascending `NetNode` order; index = dense id.
@@ -97,6 +109,44 @@ struct CsrTopo {
     hosts: Vec<u32>,
 }
 
+impl CsrTopo {
+    /// Freeze the map's structure. Dense ids follow ascending `NetNode`
+    /// order (the derived `Ord` puts every `Host` before every `Switch`);
+    /// each directed edge contributes both arc orientations, deduplicated,
+    /// so `(a,b)` and `(b,a)` probed separately collapse into one pair.
+    fn build(map: &NetworkMap) -> Self {
+        let mut nodes: Vec<NetNode> = map.hosts().map(NetNode::Host).collect();
+        nodes.extend(map.switches().map(NetNode::Switch));
+        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "dense ids must be sorted");
+        let id = |n: NetNode| nodes.binary_search(&n).ok().map(|i| i as u32);
+
+        let mut arcs = Vec::with_capacity(2 * map.edge_count());
+        for (a, b, _) in map.edges() {
+            // Edge endpoints are always members of the host/switch sets
+            // (apply_probe registers them); skip defensively if not.
+            let (Some(ia), Some(ib)) = (id(a), id(b)) else {
+                debug_assert!(false, "edge endpoint missing from node sets: {a:?}->{b:?}");
+                continue;
+            };
+            arcs.push((ia, ib));
+            arcs.push((ib, ia));
+        }
+        arcs.sort_unstable();
+        arcs.dedup();
+
+        let mut row = vec![0u32; nodes.len() + 1];
+        let mut cols = Vec::with_capacity(arcs.len());
+        for &(u, v) in &arcs {
+            row[u as usize + 1] += 1;
+            cols.push(v);
+        }
+        for i in 1..row.len() {
+            row[i] += row[i - 1];
+        }
+        CsrTopo { nodes, row, cols, hosts: map.hosts().collect() }
+    }
+}
+
 /// One frozen epoch of the scheduler control plane. Immutable and
 /// `Send + Sync`: any number of shards may evaluate queries against it
 /// concurrently, each with its own [`SnapshotScratch`].
@@ -106,13 +156,12 @@ pub struct SchedSnapshot {
     published_at_ns: u64,
     cfg: Arc<CoreConfig>,
     distances: Arc<StaticDistances>,
-    /// Base seed for the per-query Random-policy RNG derivation.
-    seed: u64,
-    /// Structure (nodes/adjacency/hosts), shared across incremental
-    /// epochs while the map's topology generation holds.
+    /// Structure (nodes/adjacency/hosts), shared across epochs while the
+    /// map's topology generation holds.
     topo: Arc<CsrTopo>,
     /// Map topology generation this snapshot's structure was frozen at;
-    /// the publisher's incremental path requires it unchanged.
+    /// the publisher reuses `topo` (and patches incrementally) only while
+    /// it is unchanged.
     topo_gen: u64,
     /// Identity of the `qlen_hist` slot layout (bumped per full build);
     /// two snapshots with equal `layout_gen` share slot offsets/caps.
@@ -134,56 +183,48 @@ pub struct SchedSnapshot {
 
 impl SchedSnapshot {
     /// Freeze the current state of `collector`'s map into an immutable
-    /// epoch. `engine` provides (and retains) the CSR build machinery —
-    /// pass the same engine across publishes so unchanged topology costs
-    /// a generation check, not a rebuild.
+    /// epoch from scratch — the full-rebuild reference the incremental
+    /// publisher is pinned against.
     pub fn build(
         collector: &IntCollector,
-        engine: &mut PathEngine,
         cfg: &Arc<CoreConfig>,
         distances: &Arc<StaticDistances>,
-        seed: u64,
         epoch: u64,
         published_at_ns: u64,
     ) -> Self {
-        Self::build_full(collector, engine, cfg, distances, seed, epoch, published_at_ns, 0, 0)
+        let topo = Arc::new(CsrTopo::build(collector.map()));
+        Self::build_full(collector, topo, cfg, distances, epoch, published_at_ns, 0, 0)
     }
 
-    /// The full (re)build: freeze everything from the live map. The
-    /// publisher passes `hist_hint` (the previous epoch's `qlen_hist`
-    /// length) to pre-size the flat history store, and a `layout_gen`
-    /// identifying the slot layout this build creates.
+    /// The full (re)build: freeze every per-arc input from the live map
+    /// over `topo`, which must describe the map's current topology
+    /// generation. The publisher passes `hist_hint` (the previous epoch's
+    /// `qlen_hist` length) to pre-size the flat history store, and a
+    /// `layout_gen` identifying the slot layout this build creates.
     #[allow(clippy::too_many_arguments)]
     fn build_full(
         collector: &IntCollector,
-        engine: &mut PathEngine,
+        topo: Arc<CsrTopo>,
         cfg: &Arc<CoreConfig>,
         distances: &Arc<StaticDistances>,
-        seed: u64,
         epoch: u64,
         published_at_ns: u64,
         hist_hint: usize,
         layout_gen: u64,
     ) -> Self {
         let map = collector.map();
-        let topo_gen = map.topology_generation();
-        let (nodes, row, cols, weights) = engine.csr_view(map, cfg);
-        let nodes = nodes.to_vec();
-        let row = row.to_vec();
-        let cols = cols.to_vec();
-        let weights = weights.to_vec();
-
-        // Per-arc estimate inputs, resolved in CSR order.
-        let mut est_delay = Vec::with_capacity(cols.len());
-        let mut arc_q = Vec::with_capacity(cols.len());
+        let arcs = topo.cols.len();
+        let mut weights = Vec::with_capacity(arcs);
+        let mut est_delay = Vec::with_capacity(arcs);
+        let mut arc_q = Vec::with_capacity(arcs);
         let mut qlen_hist = Vec::with_capacity(hist_hint);
-        for u in 0..nodes.len() {
-            let from = nodes[u];
-            for i in row[u] as usize..row[u + 1] as usize {
-                let to = nodes[cols[i] as usize];
-                est_delay.push(
-                    map.effective_delay_ns(cfg, from, to).unwrap_or(cfg.unmeasured_delay_ns),
-                );
+        for u in 0..topo.nodes.len() {
+            let from = topo.nodes[u];
+            for i in topo.row[u] as usize..topo.row[u + 1] as usize {
+                let to = topo.nodes[topo.cols[i] as usize];
+                let est = map.effective_delay_ns(cfg, from, to).unwrap_or(cfg.unmeasured_delay_ns);
+                est_delay.push(est);
+                weights.push(est.max(1));
                 arc_q.push(resolve_qlen(map, cfg, from, to, &mut qlen_hist));
             }
         }
@@ -193,9 +234,8 @@ impl SchedSnapshot {
             published_at_ns,
             cfg: Arc::clone(cfg),
             distances: Arc::clone(distances),
-            seed,
-            topo: Arc::new(CsrTopo { nodes, row, cols, hosts: map.hosts().collect() }),
-            topo_gen,
+            topo,
+            topo_gen: map.topology_generation(),
             layout_gen,
             weights,
             est_delay,
@@ -217,7 +257,6 @@ impl SchedSnapshot {
     pub fn content_eq(&self, other: &SchedSnapshot) -> bool {
         self.epoch == other.epoch
             && self.published_at_ns == other.published_at_ns
-            && self.seed == other.seed
             && self.topo.nodes == other.topo.nodes
             && self.topo.row == other.topo.row
             && self.topo.cols == other.topo.cols
@@ -265,22 +304,26 @@ impl SchedSnapshot {
     }
 
     /// Rank for `requester` under `policy`, evaluated purely against this
-    /// snapshot. `slot` is the query's pre-assigned batch slot (it seeds
-    /// the Random-policy shuffle, so results are independent of which
-    /// shard serves the slot). Decision-for-decision identical to
-    /// [`crate::sched::SchedulerCore::rank_detailed_with`] evaluated at
-    /// the same map state and `now_ns` (except `Policy::Random`, see the
-    /// module docs).
+    /// snapshot.
+    ///
+    /// Candidates are every known host except the requester. The
+    /// INT-based policies set aside origins silent beyond the horizon at
+    /// `now_ns` (`OriginSilent`) and hosts the map has no path to
+    /// (`NoFreshPath`), ranking the rest; if *no* candidate has a path and
+    /// none is silent (an empty map: warm-up, not failure), everyone is
+    /// ranked instead. The baselines ignore telemetry and exclude nothing.
+    /// `rng` drives the [`Policy::Random`] shuffle and is untouched by
+    /// every other policy.
     pub fn rank_detailed(
         &self,
         scratch: &mut SnapshotScratch,
         requester: u32,
         policy: Policy,
         now_ns: u64,
-        slot: u64,
+        rng: &mut SmallRng,
     ) -> RankOutcome {
         let mut out = RankOutcome::default();
-        self.rank_detailed_into(scratch, requester, policy, now_ns, slot, &mut out);
+        self.rank_detailed_into(scratch, requester, policy, now_ns, rng, &mut out);
         out
     }
 
@@ -292,7 +335,7 @@ impl SchedSnapshot {
         requester: u32,
         policy: Policy,
         now_ns: u64,
-        slot: u64,
+        rng: &mut SmallRng,
         out: &mut RankOutcome,
     ) {
         scratch.bind(self);
@@ -312,7 +355,7 @@ impl SchedSnapshot {
                 let est = self.estimate(scratch, requester, host, now_ns);
                 out.ranked.push(est);
             }
-            self.sort(&mut out.ranked, requester, policy, slot);
+            self.sort(&mut out.ranked, requester, policy, rng);
             scratch.candidates = candidates;
             return;
         }
@@ -340,13 +383,33 @@ impl SchedSnapshot {
             // Warm-up, not failure: rank the pathless estimates instead.
             out.ranked.extend_from_slice(&pathless);
             out.excluded.clear();
-            self.sort(&mut out.ranked, requester, policy, slot);
+            self.sort(&mut out.ranked, requester, policy, rng);
         } else {
-            self.sort(&mut out.ranked, requester, policy, slot);
+            self.sort(&mut out.ranked, requester, policy, rng);
             out.excluded.sort_unstable_by_key(|(h, _)| *h);
         }
         scratch.pathless = pathless;
         scratch.candidates = candidates;
+    }
+
+    /// The single shortest route between two hosts over this epoch — the
+    /// path every `k_paths = 1` estimate is priced along, and the head of
+    /// every k-path set. `None` when either host is unknown or they are
+    /// disconnected; a host's path to itself is trivial.
+    pub fn learned_path(
+        &self,
+        scratch: &mut SnapshotScratch,
+        from: u32,
+        to: u32,
+    ) -> Option<Vec<NetNode>> {
+        if from == to {
+            return Some(vec![NetNode::Host(from)]);
+        }
+        scratch.bind(self);
+        let from = self.node_id(NetNode::Host(from))?;
+        let to = self.node_id(NetNode::Host(to))?;
+        self.resolve_path(scratch, from, to)
+            .then(|| scratch.path_buf.iter().map(|&i| self.topo.nodes[i as usize]).collect())
     }
 
     /// Is `host` a probe origin that has gone silent beyond the horizon?
@@ -365,10 +428,9 @@ impl SchedSnapshot {
     /// in the scratch) and price it with the frozen per-arc delay and
     /// queue evidence — the same numbers the live estimators produce
     /// against the map state this snapshot froze. With `k_paths > 1`,
-    /// resolve the whole k-set (decision-identical to
-    /// [`PathEngine::paths`]) and report the cheapest path's figures,
-    /// ties breaking to the lowest path index — exactly the live
-    /// `Ranker::estimate` rule.
+    /// resolve the whole k-set (identical to [`NetworkMap::k_paths`]) and
+    /// report the cheapest path's figures, ties breaking to the lowest
+    /// path index; both figures come from that one winning path.
     fn estimate(
         &self,
         scratch: &mut SnapshotScratch,
@@ -437,7 +499,7 @@ impl SchedSnapshot {
     }
 
     /// Resolve (and cache) the k-path set for `from → to` into the
-    /// scratch, mirroring [`PathEngine::paths`]: first path from the
+    /// scratch, mirroring [`NetworkMap::k_paths`]: first path from the
     /// shared SSSP, successors from masked Dijkstra runs with the
     /// previous paths' interior switch–switch edges banned. Returns
     /// false when disconnected (cached as an empty set).
@@ -545,8 +607,7 @@ impl SchedSnapshot {
 
     /// Resolve the `from → to` path into `scratch.path_buf` (endpoints
     /// included, dense ids). Returns false when disconnected. Uses the
-    /// scratch's per-epoch path cache and memoized shared SSSP, exactly
-    /// like the live `PathEngine`.
+    /// scratch's per-epoch path cache and memoized shared SSSP.
     fn resolve_path(&self, scratch: &mut SnapshotScratch, from: u32, to: u32) -> bool {
         if let Some(cached) = scratch.cache.get(&(from, to)) {
             scratch.stats.cache_hits += 1;
@@ -604,8 +665,8 @@ impl SchedSnapshot {
     }
 
     /// Run (or reuse) the shared single-source Dijkstra from `source` in
-    /// the scratch buffers. Identical algorithm, tie-breaks, and weights
-    /// to `PathEngine::ensure_sssp` — and therefore to `NetworkMap::path`.
+    /// the scratch buffers. One run serves every `(source, *)` extraction
+    /// of the epoch; tie-breaks match `NetworkMap::path` (module docs).
     fn ensure_sssp(&self, scratch: &mut SnapshotScratch, source: u32) {
         if scratch.sssp_source == Some(source) {
             return;
@@ -674,14 +735,19 @@ impl SchedSnapshot {
         }
     }
 
-    /// Order `out` best-first — the same keys as `Ranker::sort`, with the
-    /// Random shuffle drawn from the per-query derived RNG.
-    fn sort(&self, out: &mut [RankedServer], requester: u32, policy: Policy, slot: u64) {
+    /// Order `out` best-first. Every key ends in the host id, so keys are
+    /// unique and `sort_unstable` orders exactly as a stable sort would,
+    /// without its scratch allocation.
+    fn sort(&self, out: &mut [RankedServer], requester: u32, policy: Policy, rng: &mut SmallRng) {
         match policy {
             Policy::IntDelay => {
                 out.sort_unstable_by_key(|s| (s.est_delay_ns, s.host));
             }
             Policy::IntBandwidth => {
+                // Bandwidth estimates are coarse (a piecewise curve over
+                // integer queue lengths), so ties are common; break them by
+                // estimated delay, then host id, instead of herding every
+                // equal-bandwidth query onto the lowest host id.
                 out.sort_unstable_by_key(|s| {
                     (Reverse(s.est_bandwidth_bps), s.est_delay_ns, s.host)
                 });
@@ -691,23 +757,9 @@ impl SchedSnapshot {
                     (self.distances.get(requester, s.host).unwrap_or(u32::MAX), s.host)
                 });
             }
-            Policy::Random => {
-                let mut rng = SmallRng::seed_from_u64(mix(
-                    self.seed ^ mix(self.epoch) ^ mix(slot.wrapping_add(0x9E37_79B9)),
-                ));
-                out.shuffle(&mut rng);
-            }
+            Policy::Random => out.shuffle(rng),
         }
     }
-}
-
-/// SplitMix64's finalizer: a cheap, well-distributed u64 → u64 mix for
-/// deriving per-query RNG seeds from `(seed, epoch, slot)`.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Serving counters for one shard's scratch (diagnostics and tests).
@@ -785,8 +837,8 @@ pub struct PublishStats {
     pub incremental_builds: u64,
 }
 
-/// The epoch publisher: owns the CSR build machinery and the previous
-/// epochs needed for O(dirty) incremental publication.
+/// The epoch publisher: builds each epoch, keeping the previous epochs
+/// needed for O(dirty) incremental publication.
 ///
 /// While the map's topology generation holds, each publish starts from
 /// the previous epoch's arrays (structure shared via `Arc`, per-epoch
@@ -794,14 +846,14 @@ pub struct PublishStats {
 /// reprices only the arcs of edges on the map's dirty list, and splices
 /// only their `qlen_hist` runs. Any structural change — or a history run
 /// outgrowing its reserved slot — falls back to the full rebuild, which
-/// remains the oracle: an incremental epoch is pinned `content_eq` to
-/// what the full build would have produced (proptests).
+/// remains the reference: an incremental epoch is pinned `content_eq` to
+/// what [`SchedSnapshot::build`] produces (`tests/proptest_publish.rs`).
 ///
-/// The escape hatch `INT_SNAP_INCREMENTAL=0` forces every publish down
-/// the full-rebuild path.
+/// One publisher serves one map: it drains that map's dirty list, which
+/// has a single consumer, and reuses structure keyed on its topology
+/// generation alone.
 #[derive(Debug)]
 pub struct SnapshotPublisher {
-    engine: PathEngine,
     incremental: bool,
     /// Most recently published epoch.
     prev: Option<Arc<SchedSnapshot>>,
@@ -825,14 +877,10 @@ impl Default for SnapshotPublisher {
 }
 
 impl SnapshotPublisher {
-    /// A publisher with incremental publication enabled unless the
-    /// `INT_SNAP_INCREMENTAL=0` escape hatch is set.
+    /// A publisher with incremental publication enabled.
     pub fn new() -> Self {
-        let incremental =
-            std::env::var("INT_SNAP_INCREMENTAL").map(|v| v != "0").unwrap_or(true);
         SnapshotPublisher {
-            engine: PathEngine::new(),
-            incremental,
+            incremental: true,
             prev: None,
             older: None,
             dirty: Vec::new(),
@@ -842,14 +890,11 @@ impl SnapshotPublisher {
         }
     }
 
-    /// Force the incremental path on or off (benches, A/B smokes).
+    /// Force the incremental path on or off. Off, every publish is a full
+    /// rebuild — the reference the incremental path is tested and
+    /// benchmarked against.
     pub fn set_incremental(&mut self, on: bool) {
         self.incremental = on;
-    }
-
-    /// Is the incremental path enabled?
-    pub fn incremental_enabled(&self) -> bool {
-        self.incremental
     }
 
     /// Publish counters so far.
@@ -860,13 +905,12 @@ impl SnapshotPublisher {
     /// Freeze the collector's current state as epoch `epoch`. Drains the
     /// map's dirty-edge list; takes the incremental path when enabled,
     /// the topology generation is unchanged since the previous publish,
-    /// and the publish inputs (cfg/distances/seed) are the same.
+    /// and the publish inputs (cfg/distances) are the same.
     pub fn publish(
         &mut self,
         collector: &mut IntCollector,
         cfg: &Arc<CoreConfig>,
         distances: &Arc<StaticDistances>,
-        seed: u64,
         epoch: u64,
         published_at_ns: u64,
     ) -> Arc<SchedSnapshot> {
@@ -875,7 +919,6 @@ impl SnapshotPublisher {
         let reusable = self.incremental
             && self.prev.as_ref().is_some_and(|p| {
                 p.topo_gen == topo_gen
-                    && p.seed == seed
                     && Arc::ptr_eq(&p.cfg, cfg)
                     && Arc::ptr_eq(&p.distances, distances)
             });
@@ -885,10 +928,10 @@ impl SnapshotPublisher {
                     self.stats.incremental_builds += 1;
                     s
                 }
-                None => self.full(collector, cfg, distances, seed, epoch, published_at_ns),
+                None => self.full(collector, cfg, distances, epoch, published_at_ns),
             }
         } else {
-            self.full(collector, cfg, distances, seed, epoch, published_at_ns)
+            self.full(collector, cfg, distances, epoch, published_at_ns)
         };
         let snap = Arc::new(snap);
         self.older = self.prev.take();
@@ -898,26 +941,31 @@ impl SnapshotPublisher {
         snap
     }
 
-    /// The full-rebuild path, pre-sizing `qlen_hist` from the previous
-    /// epoch and stamping a fresh slot-layout id.
+    /// The full-rebuild path: reuses the previous epoch's structure while
+    /// the topology generation holds (rebuilding the CSR otherwise),
+    /// pre-sizes `qlen_hist` from the previous epoch, and stamps a fresh
+    /// slot-layout id.
     fn full(
         &mut self,
         collector: &IntCollector,
         cfg: &Arc<CoreConfig>,
         distances: &Arc<StaticDistances>,
-        seed: u64,
         epoch: u64,
         published_at_ns: u64,
     ) -> SchedSnapshot {
         self.stats.full_builds += 1;
         self.layout_counter += 1;
+        let map = collector.map();
+        let topo = match &self.prev {
+            Some(p) if p.topo_gen == map.topology_generation() => Arc::clone(&p.topo),
+            _ => Arc::new(CsrTopo::build(map)),
+        };
         let hist_hint = self.prev.as_ref().map_or(0, |p| p.qlen_hist.len());
         SchedSnapshot::build_full(
             collector,
-            &mut self.engine,
+            topo,
             cfg,
             distances,
-            seed,
             epoch,
             published_at_ns,
             hist_hint,
@@ -1000,7 +1048,6 @@ impl SnapshotPublisher {
             published_at_ns,
             cfg: Arc::clone(&prev.cfg),
             distances: Arc::clone(&prev.distances),
-            seed: prev.seed,
             topo: Arc::clone(&prev.topo),
             topo_gen: prev.topo_gen,
             layout_gen: prev.layout_gen,
@@ -1106,9 +1153,11 @@ fn resolve_qlen(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::{BandwidthEstimator, DelayEstimator};
     use crate::sched::SchedulerCore;
     use int_packet::int::IntRecord;
     use int_packet::ProbePayload;
+    use rand::SeedableRng;
 
     fn rec(switch_id: u32, maxq: u32, ts_ms: u64) -> IntRecord {
         IntRecord {
@@ -1130,66 +1179,111 @@ mod tests {
         p
     }
 
-    /// A scheduler with two servers behind distinct switch chains, one
-    /// congested — the same shape the rank/sched tests use.
-    fn core_with_two_servers() -> SchedulerCore {
+    fn distances() -> StaticDistances {
         let mut d = StaticDistances::new();
         d.set(6, 1, 3);
         d.set(6, 2, 5);
-        let mut core = SchedulerCore::new(6, CoreConfig::default(), d, 42);
+        d
+    }
+
+    /// A scheduler with two servers behind distinct switch chains, one
+    /// congested — the same shape the sched tests use.
+    fn core_with(cfg: CoreConfig) -> SchedulerCore {
+        let mut core = SchedulerCore::new(6, cfg, distances(), 42);
         core.collector_mut().ingest(&probe(1, 1, &[(10, 20), (11, 0)]), 32_000_000);
         core.collector_mut().ingest(&probe(2, 1, &[(12, 0), (11, 0)]), 32_000_000);
         core
     }
 
     fn snap_of(core: &SchedulerCore, epoch: u64, at: u64) -> SchedSnapshot {
-        let mut engine = PathEngine::new();
-        SchedSnapshot::build(
-            core.collector(),
-            &mut engine,
-            &core.config_arc(),
-            &core.distances_arc(),
-            42,
-            epoch,
-            at,
-        )
+        SchedSnapshot::build(core.collector(), &core.config_arc(), &core.distances_arc(), epoch, at)
+    }
+
+    fn rng() -> SmallRng {
+        SmallRng::seed_from_u64(0)
+    }
+
+    /// The documented ranking rule evaluated straight off the live map:
+    /// reference routes (`NetworkMap::k_paths`), reference estimators,
+    /// collector silence, warm-up fallback, and the sort keys. Covers the
+    /// deterministic policies only.
+    fn reference(core: &SchedulerCore, requester: u32, policy: Policy, now: u64) -> RankOutcome {
+        let cfg = core.config();
+        let map = core.collector().map();
+        let (de, be) = (DelayEstimator::new(cfg.clone()), BandwidthEstimator::new(cfg.clone()));
+        let estimate = |host: u32| {
+            let mut best = RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 };
+            let paths =
+                map.k_paths(cfg, NetNode::Host(requester), NetNode::Host(host), cfg.k_paths);
+            for path in &paths {
+                let d = de.estimate_along(map, path, now).total_ns().min(u64::MAX - 1);
+                if d < best.est_delay_ns {
+                    best.est_delay_ns = d;
+                    best.est_bandwidth_bps = be.estimate_along(map, path, now);
+                }
+            }
+            best
+        };
+        let silent = core.collector().silent_origins(now, cfg.origin_silence_ns);
+        let mut out = RankOutcome::default();
+        for host in map.hosts().filter(|&h| h != requester) {
+            let est = estimate(host);
+            if policy == Policy::Nearest {
+                out.ranked.push(est);
+            } else if silent.contains(&host) {
+                out.excluded.push((host, ExcludeReason::OriginSilent));
+            } else if est.est_delay_ns == u64::MAX {
+                out.excluded.push((host, ExcludeReason::NoFreshPath));
+            } else {
+                out.ranked.push(est);
+            }
+        }
+        if out.ranked.is_empty() && out.excluded.iter().all(|e| e.1 == ExcludeReason::NoFreshPath) {
+            out.ranked = out.excluded.drain(..).map(|(h, _)| estimate(h)).collect();
+        }
+        let d = distances();
+        match policy {
+            Policy::IntDelay => out.ranked.sort_by_key(|s| (s.est_delay_ns, s.host)),
+            Policy::IntBandwidth => {
+                out.ranked.sort_by_key(|s| (Reverse(s.est_bandwidth_bps), s.est_delay_ns, s.host))
+            }
+            _ => out.ranked.sort_by_key(|s| (d.get(requester, s.host).unwrap_or(u32::MAX), s.host)),
+        }
+        out
     }
 
     #[test]
-    fn snapshot_matches_oracle_for_all_policies_and_requesters() {
-        let mut core = core_with_two_servers();
+    fn snapshot_matches_reference_for_all_policies_and_requesters() {
+        let core = core_with(CoreConfig::default());
         let now = 32_000_000;
         let snap = snap_of(&core, 1, now);
         let mut scratch = SnapshotScratch::new();
         for requester in [6u32, 1, 2] {
             for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
-                let want = core.rank_detailed_with(requester, policy, now);
-                let got = snap.rank_detailed(&mut scratch, requester, policy, now, 7);
+                let want = reference(&core, requester, policy, now);
+                let got = snap.rank_detailed(&mut scratch, requester, policy, now, &mut rng());
                 assert_eq!(got, want, "{requester} {policy:?}");
             }
         }
+        let best = snap.rank_detailed(&mut scratch, 6, Policy::IntDelay, now, &mut rng());
+        assert_eq!(best.ranked[0].host, 2, "the uncongested server wins");
     }
 
     #[test]
     fn snapshot_honours_staleness_at_query_time() {
         // Silence horizon widened so the only time-dependent effect in
         // play is queue staleness (defaults tie both at 3 s).
-        let cfg = CoreConfig { origin_silence_ns: 60_000_000_000, ..CoreConfig::default() };
-        let mut d = StaticDistances::new();
-        d.set(6, 1, 3);
-        d.set(6, 2, 5);
-        let mut core = SchedulerCore::new(6, cfg, d, 42);
-        core.collector_mut().ingest(&probe(1, 1, &[(10, 20), (11, 0)]), 32_000_000);
-        core.collector_mut().ingest(&probe(2, 1, &[(12, 0), (11, 0)]), 32_000_000);
+        let core =
+            core_with(CoreConfig { origin_silence_ns: 60_000_000_000, ..CoreConfig::default() });
         let now = 32_000_000;
         let snap = snap_of(&core, 1, now);
         let mut scratch = SnapshotScratch::new();
         // Query far past the staleness horizon (but before eviction):
-        // queues read as empty in both planes, so the congested server's
-        // hop penalty vanishes identically.
+        // queues read as empty, so the congested server's hop penalty
+        // vanishes even though the snapshot was frozen long before.
         let later = now + 4_000_000_000; // > 3 s staleness, < 10 s eviction
-        let want = core.rank_detailed_with(6, Policy::IntDelay, later);
-        let got = snap.rank_detailed(&mut scratch, 6, Policy::IntDelay, later, 0);
+        let want = reference(&core, 6, Policy::IntDelay, later);
+        let got = snap.rank_detailed(&mut scratch, 6, Policy::IntDelay, later, &mut rng());
         assert_eq!(got, want);
         assert_eq!(got.ranked.len(), 2);
         assert_eq!(
@@ -1200,7 +1294,7 @@ mod tests {
 
     #[test]
     fn snapshot_excludes_silent_origins_by_query_now() {
-        let mut core = core_with_two_servers();
+        let mut core = core_with(CoreConfig::default());
         // Server 2 keeps probing; server 1 goes dark.
         let ms = 1_000_000u64;
         for i in 1..=60u64 {
@@ -1212,19 +1306,19 @@ mod tests {
         core.collector_mut().map_mut().evict_stale(now, horizon);
         let snap = snap_of(&core, 3, now);
         let mut scratch = SnapshotScratch::new();
-        let want = core.rank_detailed_with(6, Policy::IntDelay, now);
-        let got = snap.rank_detailed(&mut scratch, 6, Policy::IntDelay, now, 0);
+        let want = reference(&core, 6, Policy::IntDelay, now);
+        let got = snap.rank_detailed(&mut scratch, 6, Policy::IntDelay, now, &mut rng());
         assert_eq!(got, want);
         assert_eq!(got.excluded, vec![(1, ExcludeReason::OriginSilent)]);
     }
 
     #[test]
     fn scratch_shares_one_sssp_per_source_and_caches_paths() {
-        let core = core_with_two_servers();
+        let core = core_with(CoreConfig::default());
         let snap = snap_of(&core, 1, 32_000_000);
         let mut scratch = SnapshotScratch::new();
         for _ in 0..10 {
-            snap.rank_detailed(&mut scratch, 6, Policy::IntDelay, 32_000_000, 0);
+            snap.rank_detailed(&mut scratch, 6, Policy::IntDelay, 32_000_000, &mut rng());
         }
         let s = scratch.stats();
         assert_eq!(s.sssp_runs, 1, "one Dijkstra serves every query from host 6");
@@ -1233,34 +1327,29 @@ mod tests {
     }
 
     #[test]
-    fn random_policy_is_slot_deterministic() {
-        let core = core_with_two_servers();
+    fn random_policy_shuffles_host_order_with_the_callers_rng() {
+        let core = core_with(CoreConfig::default());
         let snap = snap_of(&core, 1, 32_000_000);
-        let mut a = SnapshotScratch::new();
-        let mut b = SnapshotScratch::new();
-        let one = snap.rank_detailed(&mut a, 6, Policy::Random, 32_000_000, 5);
-        let two = snap.rank_detailed(&mut b, 6, Policy::Random, 32_000_000, 5);
-        assert_eq!(one, two, "same slot ⇒ same shuffle, regardless of scratch");
-        // Different slots eventually differ (2 candidates ⇒ 2 orders).
+        let mut scratch = SnapshotScratch::new();
         let mut seen = std::collections::BTreeSet::new();
-        for slot in 0..16 {
-            let mut s = SnapshotScratch::new();
-            let out = snap.rank_detailed(&mut s, 6, Policy::Random, 32_000_000, slot);
-            seen.insert(out.ranked.iter().map(|r| r.host).collect::<Vec<_>>());
+        for seed in 0..16 {
+            let mut r = SmallRng::seed_from_u64(seed);
+            let got = snap.rank_detailed(&mut scratch, 6, Policy::Random, 32_000_000, &mut r);
+            let mut want = vec![1u32, 2];
+            want.shuffle(&mut SmallRng::seed_from_u64(seed));
+            let hosts: Vec<u32> = got.ranked.iter().map(|s| s.host).collect();
+            assert_eq!(hosts, want, "seed {seed}");
+            seen.insert(hosts);
         }
-        assert!(seen.len() > 1, "the shuffle actually varies across slots");
+        assert!(seen.len() > 1, "the shuffle actually varies with the RNG");
     }
 
     #[test]
-    fn k_path_snapshot_matches_oracle_under_multipath_config() {
+    fn k_path_snapshot_matches_reference_under_multipath_config() {
         // Two disjoint routes 1↔6 (one congested) plus a second server —
-        // with k_paths = 2 both planes must price both routes and agree
-        // decision-for-decision on the winner.
+        // with k_paths = 2 both routes are priced and the cheaper wins.
         let cfg = CoreConfig { k_paths: 2, ..CoreConfig::default() };
-        let mut d = StaticDistances::new();
-        d.set(6, 1, 3);
-        d.set(6, 2, 5);
-        let mut core = SchedulerCore::new(6, cfg, d, 42);
+        let mut core = SchedulerCore::new(6, cfg, distances(), 42);
         core.collector_mut().ingest(&probe(1, 1, &[(10, 20), (11, 0)]), 32_000_000);
         core.collector_mut().ingest(&probe(1, 2, &[(12, 0), (13, 0)]), 33_000_000);
         core.collector_mut().ingest(&probe(2, 1, &[(14, 5), (11, 0)]), 32_000_000);
@@ -1269,24 +1358,44 @@ mod tests {
         let mut scratch = SnapshotScratch::new();
         for requester in [6u32, 1, 2] {
             for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
-                let want = core.rank_detailed_with(requester, policy, now);
-                let got = snap.rank_detailed(&mut scratch, requester, policy, now, 3);
+                let want = reference(&core, requester, policy, now);
+                let got = snap.rank_detailed(&mut scratch, requester, policy, now, &mut rng());
                 assert_eq!(got, want, "{requester} {policy:?}");
             }
         }
     }
 
     #[test]
-    fn warm_up_fallback_matches_oracle_on_empty_map() {
+    fn warm_up_ranks_every_pathless_candidate_in_host_order() {
         let mut core = SchedulerCore::new(6, CoreConfig::default(), StaticDistances::new(), 1);
-        core.register_host(3);
-        core.register_host(5);
+        for h in [5, 3, 9] {
+            core.register_host(h);
+        }
         let snap = snap_of(&core, 1, 0);
         let mut scratch = SnapshotScratch::new();
-        let want = core.rank_detailed_with(9, Policy::IntDelay, 0);
-        let got = snap.rank_detailed(&mut scratch, 9, Policy::IntDelay, 0, 0);
-        assert_eq!(got, want);
-        assert_eq!(got.ranked.len(), 3, "warm-up ranks everyone: {got:?}");
+        let got = snap.rank_detailed(&mut scratch, 9, Policy::IntDelay, 0, &mut rng());
+        assert_eq!(got, reference(&core, 9, Policy::IntDelay, 0));
+        let hosts: Vec<u32> = got.ranked.iter().map(|s| s.host).collect();
+        assert_eq!(hosts, vec![3, 5, 6], "equal (unreachable) keys fall back to host order");
+        assert!(got.ranked.iter().all(|s| s.est_delay_ns == u64::MAX && s.est_bandwidth_bps == 0));
         assert!(got.excluded.is_empty());
+    }
+
+    #[test]
+    fn learned_path_is_the_reference_route() {
+        let core = core_with(CoreConfig::default());
+        let snap = snap_of(&core, 1, 32_000_000);
+        let cfg = core.config();
+        let map = core.collector().map();
+        let mut scratch = SnapshotScratch::new();
+        for (from, to) in [(6u32, 1u32), (1, 6), (1, 2), (1, 42), (42, 1), (42, 42)] {
+            let want = map.path(cfg, NetNode::Host(from), NetNode::Host(to));
+            assert_eq!(snap.learned_path(&mut scratch, from, to), want, "{from}->{to}");
+        }
+        assert_eq!(
+            snap.learned_path(&mut scratch, 42, 42),
+            Some(vec![NetNode::Host(42)]),
+            "self paths need no map knowledge"
+        );
     }
 }

@@ -133,18 +133,6 @@ fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> (AuditCell, u64
         t += poll;
     }
 
-    // Fold the scheduler's path-engine counters into the registry before
-    // snapshotting: CSR rebuilds / weight refreshes are exactly the churn
-    // the snapshot publisher pays, and cache hit rates show what indexed
-    // serving saves per decision.
-    let path_stats = tb
-        .sim
-        .app::<SchedulerApp>(tb.scheduler, tb.scheduler_app)
-        .expect("scheduler app")
-        .core()
-        .path_stats();
-    path_stats.export(tb.sim.metrics_mut(), t_end.as_nanos());
-
     let stats = tb.sim.stats();
     let trace_seen = tb.sim.trace_ring().seen();
     let metrics_json = tb.sim.metrics().snapshot_json();
@@ -256,12 +244,6 @@ mod tests {
         );
         assert!(int.trace_seen > 0, "trace ring lit");
         assert!(int.metrics_json.contains("sim.frames_delivered"));
-        assert!(
-            int.metrics_json.contains("pathidx_cache_hits")
-                && int.metrics_json.contains("pathidx_csr_rebuilds"),
-            "path-engine counters exported: {}",
-            &int.metrics_json[..int.metrics_json.len().min(400)]
-        );
 
         let near = &out.cells[1];
         assert_eq!(near.policy, "Nearest");

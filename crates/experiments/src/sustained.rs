@@ -16,9 +16,15 @@
 //! reasons), plus the run's shape. It deliberately contains no wall
 //! time, worker count, or publish accounting, so the bytes on disk are
 //! identical for any `INT_SCHED_SHARDS` value *and* for the
-//! single-threaded oracle replay ([`run_oracle`]) that bypasses the
-//! sharded plane entirely — that equality is the whole point, and CI
-//! compares the files. Timing (throughput, batch p99) goes to stdout.
+//! single-threaded replay ([`run_oracle`]) that bypasses the sharded
+//! plane — that equality is the whole point, and CI compares the files.
+//! The replay is not an independent implementation: the sequential
+//! [`SchedulerCore`] evaluates the same `SchedSnapshot` code the shards
+//! do, so it checks publication, batching and slot assignment, not the
+//! ranking itself. The independent check of the ranking is the churn
+//! proptests in `tests/proptest_core.rs`, which compare the scheduler
+//! against the reference routes and estimators. Timing (throughput,
+//! batch p99) goes to stdout.
 
 use crate::report;
 use int_core::rank::StaticDistances;
@@ -292,8 +298,9 @@ pub fn run_with(seed: u64, rounds: usize, qpr: usize, shards: usize) -> (Sustain
 }
 
 /// Replay the identical scenario through the plain single-threaded
-/// [`SchedulerCore`] — the pre-sharding control plane. Produces the same
-/// artifact struct; CI asserts it is byte-identical to [`run_with`]'s.
+/// [`SchedulerCore`], one probe and one query at a time. Produces the
+/// same artifact struct; tests assert it is byte-identical to
+/// [`run_with`]'s (see the module docs for what that equality checks).
 pub fn run_oracle(seed: u64, rounds: usize, qpr: usize) -> SustainedOutput {
     let mut core = SchedulerCore::new(SCHEDULER, scenario_config(), distances(), seed);
     for h in 0..HOSTS {

@@ -50,11 +50,27 @@ for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_tabl
         || { echo "bench smoke: $name missing from harness"; exit 1; }
 done
 
+# Every smoke below writes into its own directory under one scratch root.
+tmp_root="$(mktemp -d)"
+trap 'rm -rf "$tmp_root"' EXIT
+scratch_dir() { mktemp -d "$tmp_root/XXXXXX"; }
+
+echo "== committed artifacts (gate)"
+# At the default seed and scale, fabric, workflow and audit reproduce the
+# committed results/ files byte-for-byte. Together they cover the
+# IntDelay, Nearest and Random rows, k = 4 multipath ranking, learned
+# routes and the audit trail's full per-decision estimates.
+art_dir="$(scratch_dir)"
+for target in fabric workflow audit; do
+    INT_RESULTS_DIR="$art_dir" cargo run --release -q -p int-experiments --bin repro -- "$target"
+    cmp "$art_dir/$target.json" "results/$target.json" \
+        || { echo "artifact gate: repro $target differs from results/$target.json"; exit 1; }
+done
+
 echo "== failover (smoke)"
 # Tiny grid, fixed seed, serial: the INT row must report a finite
 # time-to-detect for the failed link (the baselines report null).
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
+smoke_dir="$(scratch_dir)"
 INT_RESULTS_DIR="$smoke_dir" INT_EXP_THREADS=1 \
     cargo run --release -q -p int-experiments --bin repro -- failover --seed 1 --scale 0.25
 grep -A2 '"policy": "IntDelay"' "$smoke_dir/failover.json" \
@@ -66,9 +82,8 @@ echo "== fabric ECMP determinism (smoke)"
 # regrouped in input order, so the fabric artifact — multipath compare +
 # cable-pull failover on a scaled Clos — must be byte-identical across
 # worker counts. The multipath row must reroute; single-path never does.
-fab1_dir="$(mktemp -d)"
-fab4_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$fab1_dir" "$fab4_dir"' EXIT
+fab1_dir="$(scratch_dir)"
+fab4_dir="$(scratch_dir)"
 INT_RESULTS_DIR="$fab1_dir" INT_EXP_THREADS=1 \
     cargo run --release -q -p int-experiments --bin repro -- fabric --seed 1 --scale 0.05
 INT_RESULTS_DIR="$fab4_dir" INT_EXP_THREADS=4 \
@@ -82,25 +97,13 @@ grep -A3 '"mode": "singlepath"' "$fab1_dir/fabric.json" \
     | grep -q '"reroute_ms": null' \
     || { echo "fabric smoke: singlepath cell unexpectedly rerouted"; exit 1; }
 
-echo "== rank determinism (smoke)"
-# The scheduler's path cache is pure memoization: the same cell with the
-# cache force-disabled must produce a byte-identical artifact.
-nocache_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$nocache_dir"' EXIT
-INT_RESULTS_DIR="$nocache_dir" INT_EXP_THREADS=1 INT_PATH_CACHE=0 \
-    cargo run --release -q -p int-experiments --bin repro -- failover --seed 1 --scale 0.25
-cmp "$smoke_dir/failover.json" "$nocache_dir/failover.json" \
-    || { echo "rank determinism smoke: path cache changed the artifact"; exit 1; }
-
 echo "== sustained load (smoke)"
 # The sharded control plane's determinism contract, end to end: the
 # `repro sustained` artifact must be byte-identical with one read shard
 # and with the default shard count (the digest covers every outcome, in
 # admission order).
-one_dir="$(mktemp -d)"
-many_dir="$(mktemp -d)"
-fullpub_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$nocache_dir" "$one_dir" "$many_dir" "$fullpub_dir"' EXIT
+one_dir="$(scratch_dir)"
+many_dir="$(scratch_dir)"
 INT_RESULTS_DIR="$one_dir" INT_SCHED_SHARDS=1 \
     cargo run --release -q -p int-experiments --bin repro -- sustained --seed 1 --scale 0.05
 INT_RESULTS_DIR="$many_dir" \
@@ -109,13 +112,6 @@ cmp "$one_dir/sustained.json" "$many_dir/sustained.json" \
     || { echo "sustained smoke: shard count changed the artifact"; exit 1; }
 grep -q '"digest"' "$one_dir/sustained.json" \
     || { echo "sustained smoke: artifact has no digest"; exit 1; }
-# Incremental epoch publication (PR 10) is a publish-cost strategy, not
-# a semantics change: forcing every epoch down the full-rebuild path
-# must reproduce the artifact byte-for-byte.
-INT_RESULTS_DIR="$fullpub_dir" INT_SNAP_INCREMENTAL=0 \
-    cargo run --release -q -p int-experiments --bin repro -- sustained --seed 1 --scale 0.05
-cmp "$one_dir/sustained.json" "$fullpub_dir/sustained.json" \
-    || { echo "sustained smoke: INT_SNAP_INCREMENTAL changed the artifact"; exit 1; }
 
 echo "== shard stress (publish/read races)"
 # One extra pass over the concurrency tests with the stress cfg: more
@@ -127,8 +123,7 @@ echo "== workflow (smoke)"
 # Tiny deadline-aware DAG sweep: every composite-policy cell must be
 # present with its task accounting and observability counters, and the
 # artifact must be byte-identical across worker counts.
-wf_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$nocache_dir" "$one_dir" "$many_dir" "$wf_dir"' EXIT
+wf_dir="$(scratch_dir)"
 INT_RESULTS_DIR="$smoke_dir" INT_EXP_THREADS=1 \
     cargo run --release -q -p int-experiments --bin repro -- workflow --seed 1 --scale 0.25
 INT_RESULTS_DIR="$wf_dir" INT_EXP_THREADS=4 \
@@ -174,15 +169,12 @@ echo "== giant run: streaming + domain determinism (smoke)"
 #    INT_SIM_DOMAINS=4 must reproduce the single-domain giant.jsonl
 #    byte-for-byte. (giant.json records the domain count and I/O mode,
 #    so only the epoch export is compared.)
-gs_dir="$(mktemp -d)"
-gi_dir="$(mktemp -d)"
-gd_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$nocache_dir" "$one_dir" "$many_dir" "$wf_dir" "$gs_dir" "$gi_dir" "$gd_dir"' EXIT
+gs_dir="$(scratch_dir)"
+gi_dir="$(scratch_dir)"
+gd_dir="$(scratch_dir)"
 INT_RESULTS_DIR="$gs_dir" INT_OBS_STREAM=1 INT_SIM_DOMAINS=1 \
     cargo run --release -q -p int-experiments --bin repro -- giant --seed 1 --scale 0.02
-# INT_SNAP_INCREMENTAL=0 rides along on this variant: the giant run's
-# epoch export must be indifferent to the snapshot publisher's strategy.
-INT_RESULTS_DIR="$gi_dir" INT_OBS_STREAM=0 INT_SIM_DOMAINS=1 INT_SNAP_INCREMENTAL=0 \
+INT_RESULTS_DIR="$gi_dir" INT_OBS_STREAM=0 INT_SIM_DOMAINS=1 \
     cargo run --release -q -p int-experiments --bin repro -- giant --seed 1 --scale 0.02
 cmp "$gs_dir/giant.jsonl" "$gi_dir/giant.jsonl" \
     || { echo "giant smoke: INT_OBS_STREAM changed the epoch export"; exit 1; }

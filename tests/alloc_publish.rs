@@ -21,6 +21,8 @@ use int_edge_sched::core::snapshot::SnapshotScratch;
 use int_edge_sched::core::{CoreConfig, Policy};
 use int_edge_sched::packet::int::IntRecord;
 use int_edge_sched::packet::ProbePayload;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,16 +113,18 @@ fn steady_state_publish_and_kpath_serving_allocate_nothing() {
     let mut scratch = SnapshotScratch::new();
     let mut detailed = RankOutcome::default();
     let warm_now = warm_rounds * ROUND_NS;
+    let mut rng = SmallRng::seed_from_u64(1);
     for policy in [Policy::IntDelay, Policy::IntBandwidth] {
-        snap.rank_detailed_into(&mut scratch, 100, policy, warm_now, 0, &mut detailed);
+        snap.rank_detailed_into(&mut scratch, 100, policy, warm_now, &mut rng, &mut detailed);
     }
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     counted(true);
     for q in 0..1_000u64 {
         let now = warm_now + q;
-        snap.rank_detailed_into(&mut scratch, 100, Policy::IntDelay, now, q, &mut detailed);
-        snap.rank_detailed_into(&mut scratch, 100, Policy::IntBandwidth, now, q, &mut detailed);
+        for policy in [Policy::IntDelay, Policy::IntBandwidth] {
+            snap.rank_detailed_into(&mut scratch, 100, policy, now, &mut rng, &mut detailed);
+        }
     }
     counted(false);
     let after = ALLOCATIONS.load(Ordering::Relaxed);

@@ -2,19 +2,21 @@
 //!
 //! A counting allocator wraps the system allocator (this integration test
 //! is its own binary, so the `#[global_allocator]` is scoped to it). After
-//! one warm-up query per (requester, policy) — which builds the CSR
+//! one warm-up query per (requester, policy) — which publishes the epoch
 //! snapshot, runs the shared Dijkstra, and fills the path cache — every
-//! further `rank_into` call into a reused buffer must hit only cached
-//! paths, reused scratch, and in-place sorting.
+//! further query into a reused buffer against an unchanged map must hit
+//! only cached paths, reused scratch, and in-place sorting.
 //!
 //! Single test function on purpose: parallel tests would interleave their
 //! allocations into the shared counter.
 
-use int_edge_sched::core::rank::{RankOutcome, Ranker, StaticDistances};
+use int_edge_sched::core::rank::{RankOutcome, StaticDistances};
 use int_edge_sched::core::snapshot::SnapshotScratch;
 use int_edge_sched::core::{CoreConfig, Policy, RankedServer, SchedulerCore};
 use int_edge_sched::packet::int::IntRecord;
 use int_edge_sched::packet::ProbePayload;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,87 +58,36 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Testbed-scale map: 8 servers, each behind its own leaf switch, all
+/// Testbed-scale probes: 8 servers, each behind its own leaf switch, all
 /// joined by spine switch 20 next to scheduler host 100.
-fn learned_map() -> int_edge_sched::core::NetworkMap {
-    let mut m = int_edge_sched::core::NetworkMap::new();
-    for h in 0..8u32 {
-        let mut p = ProbePayload::new(h, 1, 0);
-        for (i, sw) in [10 + h, 20].into_iter().enumerate() {
-            p.int.push(IntRecord {
-                switch_id: sw,
-                ingress_port: 0,
-                egress_port: 1,
-                max_qlen_pkts: h * 3,
-                qlen_at_probe_pkts: h,
-                link_latency_ns: 10_000_000,
-                egress_ts_ns: (i as u64 + 1) * 10_000_000,
-            });
-        }
-        m.apply_probe(&p, 100, 30_000_000);
-    }
-    m
+fn probes(seq: u64) -> Vec<ProbePayload> {
+    (0..8u32)
+        .map(|h| {
+            let mut p = ProbePayload::new(h, seq, 0);
+            for (i, sw) in [10 + h, 20].into_iter().enumerate() {
+                p.int.push(IntRecord {
+                    switch_id: sw,
+                    ingress_port: 0,
+                    egress_port: 1,
+                    max_qlen_pkts: h * 3,
+                    qlen_at_probe_pkts: h,
+                    link_latency_ns: 10_000_000,
+                    egress_ts_ns: (i as u64 + 1) * 10_000_000,
+                });
+            }
+            p
+        })
+        .collect()
 }
 
 #[test]
 fn steady_state_rank_queries_allocate_nothing() {
-    let m = learned_map();
-    let candidates: Vec<u32> = (0..8).collect();
-    let mut r = Ranker::new(CoreConfig::default(), StaticDistances::new(), 1);
-    let mut out: Vec<RankedServer> = Vec::new();
-
-    // Warm-up: snapshot + SSSP + cache fill + buffer growth.
-    for policy in [Policy::IntDelay, Policy::IntBandwidth] {
-        r.rank_into(&m, 100, &candidates, policy, 30_000_000, &mut out);
-    }
-    let warm = r.path_stats();
-    assert_eq!(warm.sssp_runs, 1, "both policies share one Dijkstra");
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    counted(true);
-    for round in 0..1_000u64 {
-        let now = 30_000_000 + round; // vary the query, not the map
-        r.rank_into(&m, 100, &candidates, Policy::IntDelay, now, &mut out);
-        r.rank_into(&m, 100, &candidates, Policy::IntBandwidth, now, &mut out);
-    }
-    counted(false);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state rank queries must not touch the heap"
-    );
-
-    let steady = r.path_stats();
-    assert_eq!(steady.sssp_runs, warm.sssp_runs, "no extra Dijkstra runs");
-    assert_eq!(steady.csr_rebuilds, warm.csr_rebuilds, "no CSR rebuilds");
-    assert_eq!(
-        steady.cache_hits,
-        warm.cache_hits + 2 * 8 * 1_000,
-        "every steady-state path resolution is a cache hit"
-    );
-    assert!(!out.is_empty());
-
-    // The scheduler-level `_into` entry points (PR 6 satellite): the full
-    // query path — eviction check, silence scan, candidate collection,
-    // detailed ranking with exclusions — reuses internal scratch and the
-    // caller's buffers, so it is alloc-free too.
+    // The scheduler-level `_into` entry points: the full query path —
+    // eviction check, publish-key check, snapshot evaluation with
+    // silence and exclusions — reuses internal scratch and the caller's
+    // buffers, so it is alloc-free.
     let mut core = SchedulerCore::new(100, CoreConfig::default(), StaticDistances::new(), 1);
-    for h in 0..8u32 {
-        let mut p = ProbePayload::new(h, 1, 0);
-        for (i, sw) in [10 + h, 20].into_iter().enumerate() {
-            p.int.push(IntRecord {
-                switch_id: sw,
-                ingress_port: 0,
-                egress_port: 1,
-                max_qlen_pkts: h * 3,
-                qlen_at_probe_pkts: h,
-                link_latency_ns: 10_000_000,
-                egress_ts_ns: (i as u64 + 1) * 10_000_000,
-            });
-        }
-        core.collector_mut().ingest(&p, 30_000_000);
-    }
+    core.collector_mut().ingest_batch(&probes(1), 30_000_000);
     let mut detailed = RankOutcome::default();
     let mut ranked: Vec<RankedServer> = Vec::new();
     // Warm-up grows every buffer (including the audit-off fast path).
@@ -145,6 +96,8 @@ fn steady_state_rank_queries_allocate_nothing() {
         core.rank_with_into(100, policy, 30_000_000, &mut ranked);
     }
     core.candidates_with_estimates_into(100, 30_000_000, &mut ranked);
+    let warm = core.path_stats();
+    assert_eq!(warm.sssp_runs, 1, "every policy shares one Dijkstra");
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     counted(true);
@@ -162,6 +115,13 @@ fn steady_state_rank_queries_allocate_nothing() {
         "steady-state scheduler `_into` queries must not touch the heap"
     );
     assert!(!detailed.ranked.is_empty());
+    let steady = core.path_stats();
+    assert_eq!(steady.sssp_runs, warm.sssp_runs, "no extra Dijkstra runs");
+    assert_eq!(
+        steady.cache_hits,
+        warm.cache_hits + 3 * 8 * 1_000,
+        "every steady-state path resolution is a cache hit"
+    );
 
     // Snapshot serving (the sharded read path): after one warm-up query
     // fills the per-shard scratch, repeat queries are alloc-free as well.
@@ -172,39 +132,26 @@ fn steady_state_rank_queries_allocate_nothing() {
         1,
         1,
     );
-    for h in 0..8u32 {
-        let mut p = ProbePayload::new(h, 2, 0);
-        for (i, sw) in [10 + h, 20].into_iter().enumerate() {
-            p.int.push(IntRecord {
-                switch_id: sw,
-                ingress_port: 0,
-                egress_port: 1,
-                max_qlen_pkts: h * 3,
-                qlen_at_probe_pkts: h,
-                link_latency_ns: 10_000_000,
-                egress_ts_ns: (i as u64 + 1) * 10_000_000,
-            });
-        }
-        sharded.core_mut().collector_mut().ingest(&p, 30_000_000);
-    }
+    sharded.core_mut().collector_mut().ingest_batch(&probes(2), 30_000_000);
     sharded.advance(30_000_000);
     let snap = sharded.epoch_slot().current().expect("published");
     let mut scratch = SnapshotScratch::new();
+    let mut rng = SmallRng::seed_from_u64(1);
     for policy in [Policy::IntDelay, Policy::IntBandwidth] {
-        snap.rank_detailed_into(&mut scratch, 100, policy, 30_000_000, 0, &mut detailed);
+        snap.rank_detailed_into(&mut scratch, 100, policy, 30_000_000, &mut rng, &mut detailed);
     }
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     counted(true);
     for round in 0..1_000u64 {
         let now = 30_000_000 + round;
-        snap.rank_detailed_into(&mut scratch, 100, Policy::IntDelay, now, round, &mut detailed);
+        snap.rank_detailed_into(&mut scratch, 100, Policy::IntDelay, now, &mut rng, &mut detailed);
         snap.rank_detailed_into(
             &mut scratch,
             100,
             Policy::IntBandwidth,
             now,
-            round,
+            &mut rng,
             &mut detailed,
         );
     }

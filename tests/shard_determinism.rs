@@ -18,6 +18,8 @@ use int_edge_sched::core::{CoreConfig, Policy, RankOutcome, SchedulerCore};
 use int_edge_sched::experiments::sustained;
 use int_edge_sched::packet::int::IntRecord;
 use int_edge_sched::packet::ProbePayload;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -159,6 +161,7 @@ fn concurrent_queries_match_oracle_at_their_admitted_epoch() {
             let oracle_by_round = &oracle_by_round;
             scope.spawn(move || {
                 let mut scratch = SnapshotScratch::new();
+                let mut rng = SmallRng::seed_from_u64(0); // no Random queries
                 let mut cached = None;
                 let mut verified = 0u64;
                 let mut last_epoch = 0u64;
@@ -172,7 +175,8 @@ fn concurrent_queries_match_oracle_at_their_admitted_epoch() {
                     let now = snap.published_at_ns();
                     let want = &oracle_by_round[(epoch - 1) as usize];
                     for (i, q) in queries.iter().enumerate() {
-                        let got = snap.rank_detailed(&mut scratch, q.requester, q.policy, now, i as u64);
+                        let got =
+                            snap.rank_detailed(&mut scratch, q.requester, q.policy, now, &mut rng);
                         assert_eq!(
                             got, want[i],
                             "epoch {epoch} query {i} diverged from the oracle"
