@@ -55,7 +55,17 @@ fn map_of(probes: &Learned) -> NetworkMap {
 /// A scheduler on `scheduler` that ingested `probes`: directly when they
 /// ended at the scheduler, relayed otherwise.
 fn core_of(scheduler: u32, cfg: CoreConfig, probes: &Learned) -> SchedulerCore {
-    let mut core = SchedulerCore::new(scheduler, cfg, StaticDistances::new(), 1);
+    core_with(scheduler, cfg, StaticDistances::new(), probes)
+}
+
+/// [`core_of`] with a static hop table for the Nearest baseline.
+fn core_with(
+    scheduler: u32,
+    cfg: CoreConfig,
+    distances: StaticDistances,
+    probes: &Learned,
+) -> SchedulerCore {
+    let mut core = SchedulerCore::new(scheduler, cfg, distances, 1);
     for (p, terminal) in probes {
         if *terminal == scheduler {
             core.collector_mut().ingest(p, 50_000_000);
@@ -133,7 +143,10 @@ fn fabric_probes(hosts: u32) -> Learned {
 
 /// The PR 5 headline: sustained rank-query throughput of one long-lived
 /// scheduler. Steady state on an unchanged map — exactly what the
-/// scheduler pays per query between probe rounds.
+/// scheduler pays per query between probe rounds. Two fabric variants
+/// price the serving memo's edges: `_nearest` sorts by a filled static
+/// hop table, and `_fresh_now` advances `now` every query (the live
+/// scheduler's shape), so the requester's priced row is rebuilt each time.
 fn bench_rank_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("rank_throughput");
     for (name, scheduler, probes) in
@@ -148,6 +161,29 @@ fn bench_rank_throughput(c: &mut Criterion) {
             })
         });
     }
+    let probes = fabric_probes(128);
+    g.bench_function("fabric_64s_128h_nearest", |b| {
+        let mut hops = StaticDistances::new();
+        for h in 0..128u32 {
+            hops.set(1000, h, 2 + h % 5);
+        }
+        let mut core = core_with(1000, CoreConfig::default(), hops, &probes);
+        let mut out = Vec::new();
+        b.iter(|| {
+            core.rank_with_into(1000, Policy::Nearest, 50_000_000, &mut out);
+            black_box(out.len())
+        })
+    });
+    g.bench_function("fabric_64s_128h_fresh_now", |b| {
+        let mut core = core_of(1000, CoreConfig::default(), &probes);
+        let mut out = Vec::new();
+        let mut now = 50_000_000u64;
+        b.iter(|| {
+            now += 1; // 1 ns a query: far from any staleness or eviction horizon
+            core.rank_with_into(1000, Policy::IntDelay, now, &mut out);
+            black_box(out.len())
+        })
+    });
     g.finish();
 }
 

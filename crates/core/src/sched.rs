@@ -602,7 +602,8 @@ mod tests {
     }
 
     /// Queries against an unchanged map publish nothing and re-run no
-    /// Dijkstra: every path after the first query is a cache hit.
+    /// Dijkstra: every query after the first at the same `now` reuses
+    /// the requester's priced row.
     #[test]
     fn steady_state_queries_reuse_one_epoch_and_one_sssp() {
         let mut core = core_with_two_servers();
@@ -616,8 +617,9 @@ mod tests {
         let s2 = core.path_stats();
         assert_eq!(core.epoch(), epoch, "no ingest, no new epoch");
         assert_eq!(s2.sssp_runs, 1, "steady state never re-runs Dijkstra");
-        assert_eq!(s2.cache_misses, s.cache_misses);
-        assert_eq!(s2.cache_hits, s.cache_hits + 200, "every steady-state path is a hit");
+        assert_eq!((s.cache_misses, s.cache_hits), (1, 0), "the first query prices the row");
+        assert_eq!(s2.cache_misses, 1);
+        assert_eq!(s2.cache_hits, 100, "every steady-state query reuses the row");
     }
 
     /// Two routes host 1 → scheduler 6: 1–10–11–6 (fast, 5 ms links) and

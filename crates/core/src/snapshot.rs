@@ -24,8 +24,9 @@
 //!   exclusion is a pure function of the query's `now`.
 //!
 //! Queries evaluate against a caller-owned [`SnapshotScratch`] (the
-//! dist/prev/heap Dijkstra buffers plus a per-epoch path cache), so N
-//! shards serve concurrently with zero shared mutable state.
+//! Dijkstra buffers plus one memoized *priced row*: every node's price
+//! from the requester at the query's `now`), so N shards serve
+//! concurrently with zero shared mutable state.
 //!
 //! # Determinism
 //!
@@ -41,7 +42,10 @@
 //!   selection is identical;
 //! * the reference early-exits when the target pops, the shared SSSP
 //!   runs to completion; both agree on every extracted path (weights are
-//!   ≥ 1, so a popped node's predecessor is final).
+//!   ≥ 1, so a popped node's predecessor is final);
+//! * a priced row extends each node's price from its predecessor's, in
+//!   settle order, so every entry is the same saturating fold, over the
+//!   same arcs in the same order, as pricing the extracted path alone.
 //!
 //! The agreement is pinned by the churn proptests in
 //! `tests/proptest_core.rs`. [`Policy::Random`] shuffles with an RNG the
@@ -60,6 +64,23 @@ use std::sync::Arc;
 
 /// Sentinel for "no predecessor" in the SSSP scratch.
 const NO_PREV: u32 = u32::MAX;
+
+/// A path's running price, accumulated arc by arc in path order.
+#[derive(Debug, Clone, Copy)]
+struct Priced {
+    link_ns: u64,
+    hop_ns: u64,
+    bw_bps: u64,
+}
+
+impl Priced {
+    /// `(est_delay_ns, est_bandwidth_bps)`, the total clamped to
+    /// `u64::MAX - 1` so a reachable path never reads as the no-path
+    /// sentinel.
+    fn figures(self) -> (u64, u64) {
+        (self.link_ns.saturating_add(self.hop_ns).min(u64::MAX - 1), self.bw_bps)
+    }
+}
 
 /// Queue-occupancy evidence for one CSR arc, resolved at publish time.
 ///
@@ -288,16 +309,6 @@ impl SchedSnapshot {
         self.published_at_ns
     }
 
-    /// Nodes in the frozen graph (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.topo.nodes.len()
-    }
-
-    /// Directed arcs in the frozen graph (diagnostics).
-    pub fn arc_count(&self) -> usize {
-        self.topo.cols.len()
-    }
-
     /// Candidate hosts known to this epoch, ascending.
     pub fn hosts(&self) -> &[u32] {
         &self.topo.hosts
@@ -342,34 +353,29 @@ impl SchedSnapshot {
         scratch.stats.queries += 1;
         out.ranked.clear();
         out.excluded.clear();
-
-        // Candidate set: every known host except the requester — the same
-        // rule as `SchedulerCore::candidates_for`.
-        let mut candidates = std::mem::take(&mut scratch.candidates);
-        candidates.clear();
-        candidates.extend(self.topo.hosts.iter().copied().filter(|&h| h != requester));
-
-        if matches!(policy, Policy::Nearest | Policy::Random) {
-            out.ranked.reserve(candidates.len());
-            for &host in &candidates {
-                let est = self.estimate(scratch, requester, host, now_ns);
-                out.ranked.push(est);
-            }
-            self.sort(&mut out.ranked, requester, policy, rng);
-            scratch.candidates = candidates;
-            return;
+        let from = self.node_id(NetNode::Host(requester));
+        if let Some(from) = from.filter(|_| self.cfg.k_paths <= 1) {
+            self.ensure_row(scratch, from, now_ns);
         }
 
+        // Candidates: every known host except the requester — the same
+        // rule as `SchedulerCore::candidates_for`. Hosts lead the dense
+        // ids, so a host's index in `hosts` is its dense id, and visiting
+        // them in order leaves `excluded` sorted by host.
+        let int_based = !matches!(policy, Policy::Nearest | Policy::Random);
         let mut pathless = std::mem::take(&mut scratch.pathless);
         pathless.clear();
-        out.ranked.reserve(candidates.len());
-        for &host in &candidates {
-            if self.is_silent(host, now_ns) {
+        out.ranked.reserve(self.topo.hosts.len());
+        for (to, &host) in self.topo.hosts.iter().enumerate() {
+            if host == requester {
+                continue;
+            }
+            if int_based && self.is_silent(host, now_ns) {
                 out.excluded.push((host, ExcludeReason::OriginSilent));
                 continue;
             }
-            let est = self.estimate(scratch, requester, host, now_ns);
-            if est.est_delay_ns == u64::MAX {
+            let est = self.estimate(scratch, from, to as u32, host, now_ns);
+            if int_based && est.est_delay_ns == u64::MAX {
                 out.excluded.push((host, ExcludeReason::NoFreshPath));
                 pathless.push(est);
             } else {
@@ -383,13 +389,9 @@ impl SchedSnapshot {
             // Warm-up, not failure: rank the pathless estimates instead.
             out.ranked.extend_from_slice(&pathless);
             out.excluded.clear();
-            self.sort(&mut out.ranked, requester, policy, rng);
-        } else {
-            self.sort(&mut out.ranked, requester, policy, rng);
-            out.excluded.sort_unstable_by_key(|(h, _)| *h);
         }
+        self.sort(&mut scratch.keyed, &mut out.ranked, requester, policy, rng);
         scratch.pathless = pathless;
-        scratch.candidates = candidates;
     }
 
     /// The single shortest route between two hosts over this epoch — the
@@ -408,8 +410,10 @@ impl SchedSnapshot {
         scratch.bind(self);
         let from = self.node_id(NetNode::Host(from))?;
         let to = self.node_id(NetNode::Host(to))?;
-        self.resolve_path(scratch, from, to)
-            .then(|| scratch.path_buf.iter().map(|&i| self.topo.nodes[i as usize]).collect())
+        self.ensure_sssp(scratch, from);
+        let mut path = Vec::new();
+        walk_prev(&scratch.prev, &scratch.dist, from, to, &mut path)
+            .then(|| path.iter().map(|&i| self.topo.nodes[i as usize]).collect())
     }
 
     /// Is `host` a probe origin that has gone silent beyond the horizon?
@@ -424,78 +428,102 @@ impl SchedSnapshot {
         }
     }
 
-    /// Estimate one candidate: resolve the path (shared SSSP + path cache
-    /// in the scratch) and price it with the frozen per-arc delay and
-    /// queue evidence — the same numbers the live estimators produce
-    /// against the map state this snapshot froze. With `k_paths > 1`,
+    /// Estimate one candidate (dense id `to`) for the requester (dense
+    /// id `from`, `None` when unknown to the epoch). With `k_paths ≤ 1`
+    /// the figures are read off the requester's priced row, which
+    /// [`SchedSnapshot::rank_detailed_into`] ensured. With `k_paths > 1`,
     /// resolve the whole k-set (identical to [`NetworkMap::k_paths`]) and
     /// report the cheapest path's figures, ties breaking to the lowest
     /// path index; both figures come from that one winning path.
     fn estimate(
         &self,
         scratch: &mut SnapshotScratch,
-        requester: u32,
+        from: Option<u32>,
+        to: u32,
         host: u32,
         now_ns: u64,
     ) -> RankedServer {
-        let (Some(from), Some(to)) =
-            (self.node_id(NetNode::Host(requester)), self.node_id(NetNode::Host(host)))
-        else {
-            return RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 };
+        let unreachable = RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 };
+        let Some(from) = from else { return unreachable };
+        let best = if self.cfg.k_paths <= 1 {
+            scratch.row[to as usize].map(Priced::figures)
+        } else if self.ensure_k_paths(scratch, from, to) {
+            let kset = scratch.kcache.get(&(from, to)).expect("just ensured");
+            let mut best = (u64::MAX, 0);
+            for path in kset {
+                let (d, bw) = self.price_path(path, now_ns);
+                if d < best.0 {
+                    best = (d, bw);
+                }
+            }
+            Some(best)
+        } else {
+            None
         };
-        if from == to {
-            return RankedServer {
-                host,
-                est_delay_ns: 0,
-                est_bandwidth_bps: self.cfg.link_capacity_bps,
-            };
-        }
-        if self.cfg.k_paths <= 1 {
-            if !self.resolve_path(scratch, from, to) {
-                return RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 };
-            }
-            let (est_delay_ns, est_bandwidth_bps) = self.price_path(&scratch.path_buf, now_ns);
-            return RankedServer { host, est_delay_ns, est_bandwidth_bps };
-        }
-
-        if !self.ensure_k_paths(scratch, from, to) {
-            return RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 };
-        }
-        let kset = scratch.kcache.get(&(from, to)).expect("just ensured");
-        let mut best_delay = u64::MAX;
-        let mut best_bw = 0;
-        for path in kset {
-            let (d, bw) = self.price_path(path, now_ns);
-            if d < best_delay {
-                best_delay = d;
-                best_bw = bw;
-            }
-        }
-        RankedServer { host, est_delay_ns: best_delay, est_bandwidth_bps: best_bw }
+        best.map_or(unreachable, |(est_delay_ns, est_bandwidth_bps)| RankedServer {
+            host,
+            est_delay_ns,
+            est_bandwidth_bps,
+        })
     }
 
     /// Price one resolved dense-id path with the frozen per-arc evidence,
-    /// mirroring `DelayEstimator`/`BandwidthEstimator::estimate_along` —
-    /// including their saturating arithmetic (8+-hop fabric paths with
-    /// saturated link estimates must pin at the ceiling, not wrap) and
-    /// the `u64::MAX - 1` clamp that keeps reachable totals distinct
-    /// from the no-fresh-path sentinel.
+    /// mirroring `DelayEstimator`/`BandwidthEstimator::estimate_along`:
+    /// [`SchedSnapshot::price_arc`] folded along the path.
     fn price_path(&self, path: &[u32], now_ns: u64) -> (u64, u64) {
-        let mut link_delay_ns = 0u64;
-        let mut hop_delay_ns = 0u64;
-        let mut bottleneck = self.cfg.link_capacity_bps;
-        for w in path.windows(2) {
-            let (u, v) = (w[0], w[1]);
-            let ai = self.arc_index(u, v).expect("path arcs exist in the CSR");
-            link_delay_ns = link_delay_ns.saturating_add(self.est_delay[ai]);
-            if matches!(self.topo.nodes[u as usize], NetNode::Switch(_)) {
-                let q = self.arc_qlen(ai, now_ns);
-                hop_delay_ns =
-                    hop_delay_ns.saturating_add(self.cfg.k_ns_per_pkt.saturating_mul(q as u64));
-                bottleneck = bottleneck.min(self.cfg.available_bw_for_qlen(q));
-            }
+        path.windows(2)
+            .fold(self.origin_price(), |acc, w| {
+                let ai = self.arc_index(w[0], w[1]).expect("path arcs exist in the CSR");
+                self.price_arc(acc, w[0], ai, now_ns)
+            })
+            .figures()
+    }
+
+    /// The price of the empty path at a row's source.
+    fn origin_price(&self) -> Priced {
+        Priced { link_ns: 0, hop_ns: 0, bw_bps: self.cfg.link_capacity_bps }
+    }
+
+    /// Extend a path's running price by arc `ai` out of node `u`: the
+    /// link delay always, the `k · Q(h)` hop term and bandwidth cap when
+    /// `u` is a switch. Saturating throughout, so 8+-hop fabric paths
+    /// with saturated link estimates pin at the ceiling, not wrap.
+    fn price_arc(&self, acc: Priced, u: u32, ai: usize, now_ns: u64) -> Priced {
+        let mut p = acc;
+        p.link_ns = p.link_ns.saturating_add(self.est_delay[ai]);
+        if matches!(self.topo.nodes[u as usize], NetNode::Switch(_)) {
+            let q = self.arc_qlen(ai, now_ns);
+            p.hop_ns = p.hop_ns.saturating_add(self.cfg.k_ns_per_pkt.saturating_mul(q as u64));
+            p.bw_bps = p.bw_bps.min(self.cfg.available_bw_for_qlen(q));
         }
-        (link_delay_ns.saturating_add(hop_delay_ns).min(u64::MAX - 1), bottleneck)
+        p
+    }
+
+    /// Fill (or reuse) the priced row of `source` at `now_ns`: every
+    /// node's price along its shortest-path-tree route from `source`.
+    /// One pass over the SSSP's settle order suffices — a node settles
+    /// after its predecessor, so `row[v] = price_arc(row[prev[v]], …)`
+    /// always reads a finished entry, and the fold runs in path order,
+    /// bit-identical to [`SchedSnapshot::price_path`] over the extracted
+    /// route. Queue terms depend on `now_ns` (staleness, window), so the
+    /// row is keyed on it as well as on the source and epoch.
+    fn ensure_row(&self, scratch: &mut SnapshotScratch, source: u32, now_ns: u64) {
+        if scratch.row_key == Some((now_ns, source)) {
+            scratch.stats.cache_hits += 1;
+            return;
+        }
+        scratch.stats.cache_misses += 1;
+        self.ensure_sssp(scratch, source);
+        scratch.row.clear();
+        scratch.row.resize(self.topo.nodes.len(), None);
+        scratch.row[source as usize] = Some(self.origin_price());
+        for &v in &scratch.order[1..] {
+            let u = scratch.prev[v as usize];
+            let acc = scratch.row[u as usize].expect("a predecessor settles first");
+            let ai = scratch.prev_arc[v as usize] as usize;
+            scratch.row[v as usize] = Some(self.price_arc(acc, u, ai, now_ns));
+        }
+        scratch.row_key = Some((now_ns, source));
     }
 
     /// Resolve (and cache) the k-path set for `from → to` into the
@@ -510,26 +538,21 @@ impl SchedSnapshot {
         }
         scratch.stats.cache_misses += 1;
         let mut out: Vec<Vec<u32>> = Vec::new();
-        // First path straight off the shared SSSP into the cache-owned
-        // Vec — no detour through `path_buf` + clone, and no entry in the
-        // single-path cache (the k-set cache alone answers k > 1).
+        // First path straight off the shared SSSP into the cache-owned Vec.
         self.ensure_sssp(scratch, from);
         let mut first = Vec::new();
-        if self.extract_path_into(scratch, from, to, &mut first) {
+        if walk_prev(&scratch.prev, &scratch.dist, from, to, &mut first) {
             out.push(first);
-            let k = self.cfg.k_paths.max(1);
-            if k > 1 {
-                scratch.arc_mask.clear();
-                scratch.arc_mask.resize(self.topo.cols.len(), false);
-                for _ in 1..k {
-                    let last = out.last().expect("non-empty");
-                    self.ban_interior_edges(scratch, last);
-                    let Some(p) = self.masked_path(scratch, from, to) else { break };
-                    if out.contains(&p) {
-                        break;
-                    }
-                    out.push(p);
+            scratch.arc_mask.clear();
+            scratch.arc_mask.resize(self.topo.cols.len(), false);
+            for _ in 1..self.cfg.k_paths {
+                let last = out.last().expect("non-empty");
+                self.ban_interior_edges(scratch, last);
+                let Some(p) = self.masked_path(scratch, from, to) else { break };
+                if out.contains(&p) {
+                    break;
                 }
+                out.push(p);
             }
         }
         let ok = !out.is_empty();
@@ -588,85 +611,15 @@ impl SchedSnapshot {
             }
         }
         scratch.heap.clear(); // early exit can leave stale entries behind
-
-        if scratch.mdist[to as usize] == u64::MAX {
-            return None;
-        }
-        let mut path = vec![to];
-        let mut cur = to;
-        while cur != from {
-            cur = scratch.mprev[cur as usize];
-            if cur == NO_PREV {
-                return None;
-            }
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
-    }
-
-    /// Resolve the `from → to` path into `scratch.path_buf` (endpoints
-    /// included, dense ids). Returns false when disconnected. Uses the
-    /// scratch's per-epoch path cache and memoized shared SSSP.
-    fn resolve_path(&self, scratch: &mut SnapshotScratch, from: u32, to: u32) -> bool {
-        if let Some(cached) = scratch.cache.get(&(from, to)) {
-            scratch.stats.cache_hits += 1;
-            match cached {
-                Some(p) => {
-                    scratch.path_buf.clear();
-                    scratch.path_buf.extend_from_slice(p);
-                    return true;
-                }
-                None => return false,
-            }
-        }
-        scratch.stats.cache_misses += 1;
-        self.ensure_sssp(scratch, from);
-        // Extract once into the Vec the cache will own; `path_buf` takes
-        // a copy for the caller — no second clone per miss.
-        let mut owned = Vec::new();
-        let reachable = self.extract_path_into(scratch, from, to, &mut owned);
-        if reachable {
-            scratch.path_buf.clear();
-            scratch.path_buf.extend_from_slice(&owned);
-        }
-        scratch.cache.insert((from, to), reachable.then_some(owned));
-        reachable
-    }
-
-    /// Walk the shared SSSP's predecessor chain into `out` (endpoints
-    /// included, forward order). Requires `ensure_sssp(scratch, from)`
-    /// to have run. Returns false (clearing `out`) when unreachable.
-    fn extract_path_into(
-        &self,
-        scratch: &SnapshotScratch,
-        from: u32,
-        to: u32,
-        out: &mut Vec<u32>,
-    ) -> bool {
-        out.clear();
-        if scratch.dist[to as usize] == u64::MAX {
-            return false;
-        }
-        let mut cur = to;
-        out.push(cur);
-        loop {
-            if cur == from {
-                out.reverse();
-                return true;
-            }
-            cur = scratch.prev[cur as usize];
-            if cur == NO_PREV {
-                out.clear();
-                return false;
-            }
-            out.push(cur);
-        }
+        let mut path = Vec::new();
+        walk_prev(&scratch.mprev, &scratch.mdist, from, to, &mut path).then_some(path)
     }
 
     /// Run (or reuse) the shared single-source Dijkstra from `source` in
-    /// the scratch buffers. One run serves every `(source, *)` extraction
-    /// of the epoch; tie-breaks match `NetworkMap::path` (module docs).
+    /// the scratch buffers, recording each node's predecessor arc and the
+    /// settle order. One run serves every `(source, *)` extraction and
+    /// priced row of the epoch; tie-breaks match `NetworkMap::path`
+    /// (module docs).
     fn ensure_sssp(&self, scratch: &mut SnapshotScratch, source: u32) {
         if scratch.sssp_source == Some(source) {
             return;
@@ -677,6 +630,8 @@ impl SchedSnapshot {
         scratch.dist.resize(n, u64::MAX);
         scratch.prev.clear();
         scratch.prev.resize(n, NO_PREV);
+        scratch.prev_arc.resize(n, 0);
+        scratch.order.clear();
         scratch.heap.clear();
 
         scratch.dist[source as usize] = 0;
@@ -685,12 +640,14 @@ impl SchedSnapshot {
             if scratch.dist[u as usize] < d {
                 continue; // stale heap entry
             }
+            scratch.order.push(u);
             for i in self.topo.row[u as usize] as usize..self.topo.row[u as usize + 1] as usize {
                 let v = self.topo.cols[i];
                 let nd = d.saturating_add(self.weights[i]);
                 if nd < scratch.dist[v as usize] {
                     scratch.dist[v as usize] = nd;
                     scratch.prev[v as usize] = u;
+                    scratch.prev_arc[v as usize] = i as u32;
                     scratch.heap.push(Reverse((nd, v)));
                 }
             }
@@ -737,8 +694,17 @@ impl SchedSnapshot {
 
     /// Order `out` best-first. Every key ends in the host id, so keys are
     /// unique and `sort_unstable` orders exactly as a stable sort would,
-    /// without its scratch allocation.
-    fn sort(&self, out: &mut [RankedServer], requester: u32, policy: Policy, rng: &mut SmallRng) {
+    /// without its scratch allocation. Nearest looks each candidate's
+    /// static distance up once, into the reusable `keyed` buffer, rather
+    /// than once per comparison.
+    fn sort(
+        &self,
+        keyed: &mut Vec<(u32, RankedServer)>,
+        out: &mut [RankedServer],
+        requester: u32,
+        policy: Policy,
+        rng: &mut SmallRng,
+    ) {
         match policy {
             Policy::IntDelay => {
                 out.sort_unstable_by_key(|s| (s.est_delay_ns, s.host));
@@ -753,9 +719,14 @@ impl SchedSnapshot {
                 });
             }
             Policy::Nearest => {
-                out.sort_unstable_by_key(|s| {
-                    (self.distances.get(requester, s.host).unwrap_or(u32::MAX), s.host)
-                });
+                keyed.clear();
+                keyed.extend(out.iter().map(|&s| {
+                    (self.distances.get(requester, s.host).unwrap_or(u32::MAX), s)
+                }));
+                keyed.sort_unstable_by_key(|&(d, s)| (d, s.host));
+                for (slot, &(_, s)) in out.iter_mut().zip(keyed.iter()) {
+                    *slot = s;
+                }
             }
             Policy::Random => out.shuffle(rng),
         }
@@ -769,39 +740,48 @@ pub struct SnapshotServeStats {
     pub queries: u64,
     /// Shared-SSSP runs (once per distinct source per epoch).
     pub sssp_runs: u64,
-    /// Path-cache hits.
+    /// Priced-row lookups that found the row of the query's `(epoch,
+    /// now, source)` already built (one lookup per `k_paths ≤ 1` query);
+    /// with `k_paths > 1`, k-path-set cache hits (one per candidate).
     pub cache_hits: u64,
-    /// Path-cache misses.
+    /// Lookups that had to build the row (or resolve the k-path set).
     pub cache_misses: u64,
 }
 
 /// Per-shard mutable state for evaluating queries against a
-/// [`SchedSnapshot`]: the reusable Dijkstra buffers and a per-epoch path
-/// cache. One scratch must only ever be used by one thread at a time
+/// [`SchedSnapshot`]: the reusable Dijkstra buffers and the memoized
+/// priced row. One scratch must only ever be used by one thread at a time
 /// (each shard owns its own); it revalidates itself against the
 /// snapshot's epoch on every query, so handing it snapshots of advancing
 /// epochs is safe and cheap.
 #[derive(Debug, Default)]
 pub struct SnapshotScratch {
-    /// Epoch the cache/SSSP state below belongs to.
+    /// Epoch the SSSP/row/k-path state below belongs to.
     epoch: Option<u64>,
     sssp_source: Option<u32>,
     dist: Vec<u64>,
     prev: Vec<u32>,
+    /// CSR index of the arc `prev[v] → v`.
+    prev_arc: Vec<u32>,
+    /// Reachable nodes in the order the SSSP settled them (source first).
+    order: Vec<u32>,
     heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// `(from, to)` dense-id pair → cached path (`None` = unreachable).
-    cache: BTreeMap<(u32, u32), Option<Vec<u32>>>,
-    path_buf: Vec<u32>,
+    /// `(now_ns, source)` the priced row belongs to, within `epoch`.
+    row_key: Option<(u64, u32)>,
+    /// Price from the row's source to every dense node (`None` =
+    /// unreachable); used only when `k_paths ≤ 1`.
+    row: Vec<Option<Priced>>,
     /// `(from, to)` → cached k-path set (empty = unreachable); used only
-    /// when `k_paths > 1`, invalidated with `cache` on epoch moves.
+    /// when `k_paths > 1`.
     kcache: BTreeMap<(u32, u32), Vec<Vec<u32>>>,
     /// Per-arc ban mask for successive-exclusion runs.
     arc_mask: Vec<bool>,
     /// Masked-Dijkstra scratch, separate from the shared SSSP's buffers.
     mdist: Vec<u64>,
     mprev: Vec<u32>,
-    candidates: Vec<u32>,
     pathless: Vec<RankedServer>,
+    /// Nearest's `(static distance, candidate)` sort buffer.
+    keyed: Vec<(u32, RankedServer)>,
     stats: SnapshotServeStats,
 }
 
@@ -817,12 +797,13 @@ impl SnapshotScratch {
     }
 
     /// Revalidate against `snap`'s epoch: a moved epoch invalidates the
-    /// path cache and the memoized SSSP (the graph may have changed).
+    /// memoized SSSP, priced row and k-path sets (the graph may have
+    /// changed).
     fn bind(&mut self, snap: &SchedSnapshot) {
         if self.epoch != Some(snap.epoch) {
             self.epoch = Some(snap.epoch);
             self.sssp_source = None;
-            self.cache.clear();
+            self.row_key = None;
             self.kcache.clear();
         }
     }
@@ -989,40 +970,21 @@ impl SnapshotPublisher {
 
         // Reclaim the epoch-before-last's arrays if no reader holds them.
         let spare = self.older.take().and_then(|a| Arc::try_unwrap(a).ok());
-        let (mut weights, mut est_delay, mut arc_q, mut qlen_hist, mut origins, patch_union);
-        match spare {
-            Some(s) if s.layout_gen == prev.layout_gen && s.epoch + 1 == prev.epoch => {
-                // `s` differs from `prev` exactly by `prev_dirty`: patch
-                // the union of both dirty sets in place, copy nothing.
-                weights = s.weights;
-                est_delay = s.est_delay;
-                arc_q = s.arc_q;
-                qlen_hist = s.qlen_hist;
-                origins = s.origins;
-                patch_union = true;
-            }
-            Some(s) => {
-                // Layout lineage broken (full rebuild in between): reuse
-                // the allocations but copy the previous epoch wholesale.
-                weights = s.weights;
-                weights.clone_from(&prev.weights);
-                est_delay = s.est_delay;
-                est_delay.clone_from(&prev.est_delay);
-                arc_q = s.arc_q;
-                arc_q.clone_from(&prev.arc_q);
-                qlen_hist = s.qlen_hist;
-                qlen_hist.clone_from(&prev.qlen_hist);
-                origins = s.origins;
-                patch_union = false;
-            }
-            None => {
-                weights = prev.weights.clone();
-                est_delay = prev.est_delay.clone();
-                arc_q = prev.arc_q.clone();
-                qlen_hist = prev.qlen_hist.clone();
-                origins = Vec::new();
-                patch_union = false;
-            }
+        // `spare` differing from `prev` exactly by `prev_dirty` (same slot
+        // layout, consecutive epochs) patches the union of both dirty sets
+        // in place and copies nothing. Otherwise the previous epoch is
+        // copied wholesale, into the spare's allocations when there are any.
+        let patch_union = spare
+            .as_ref()
+            .is_some_and(|s| s.layout_gen == prev.layout_gen && s.epoch + 1 == prev.epoch);
+        let (mut weights, mut est_delay, mut arc_q, mut qlen_hist, mut origins) = spare
+            .map(|s| (s.weights, s.est_delay, s.arc_q, s.qlen_hist, s.origins))
+            .unwrap_or_default();
+        if !patch_union {
+            weights.clone_from(&prev.weights);
+            est_delay.clone_from(&prev.est_delay);
+            arc_q.clone_from(&prev.arc_q);
+            qlen_hist.clone_from(&prev.qlen_hist);
         }
 
         // Patch is idempotent per edge (recomputed from the current map),
@@ -1114,6 +1076,28 @@ fn patch_edge(
         // the arc's `NO_QLEN` evidence untouched — same as a full build.
     }
     Some(())
+}
+
+/// Walk a Dijkstra predecessor chain from `to` back to `from` into `out`
+/// (endpoints included, forward order). Returns false (clearing `out`)
+/// when `to` is unreachable.
+fn walk_prev(prev: &[u32], dist: &[u64], from: u32, to: u32, out: &mut Vec<u32>) -> bool {
+    out.clear();
+    if dist[to as usize] == u64::MAX {
+        return false;
+    }
+    out.push(to);
+    let mut cur = to;
+    while cur != from {
+        cur = prev[cur as usize];
+        if cur == NO_PREV {
+            out.clear();
+            return false;
+        }
+        out.push(cur);
+    }
+    out.reverse();
+    true
 }
 
 /// Resolve which directed edge answers queue questions for the `from → to`
@@ -1313,7 +1297,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_shares_one_sssp_per_source_and_caches_paths() {
+    fn scratch_shares_one_sssp_per_source_and_one_row_per_now() {
         let core = core_with(CoreConfig::default());
         let snap = snap_of(&core, 1, 32_000_000);
         let mut scratch = SnapshotScratch::new();
@@ -1322,8 +1306,12 @@ mod tests {
         }
         let s = scratch.stats();
         assert_eq!(s.sssp_runs, 1, "one Dijkstra serves every query from host 6");
-        assert_eq!(s.cache_misses, 2, "one path extraction per candidate");
-        assert_eq!(s.cache_hits, 2 * 9, "repeat queries hit the cache");
+        assert_eq!(s.cache_misses, 1, "one priced row per (epoch, now, source)");
+        assert_eq!(s.cache_hits, 9, "repeat queries reuse the row");
+        // A new `now` reprices the row off the same Dijkstra.
+        snap.rank_detailed(&mut scratch, 6, Policy::Nearest, 33_000_000, &mut rng());
+        let s = scratch.stats();
+        assert_eq!((s.sssp_runs, s.cache_misses, s.cache_hits), (1, 2, 9));
     }
 
     #[test]

@@ -37,8 +37,12 @@ echo "$bench_log"
 # ingest_throughput/clos_512s_960probes (PR 10) guard
 # results/bench_pr10.json: the O(dirty) incremental epoch publish vs
 # the full rebuild, and the dense edge-indexed batched probe drain.
+# rank_throughput/fabric_64s_128h_{nearest,fresh_now} guard the priced-row
+# serving memo: the Nearest sort's keyed lookups, and a row rebuilt on
+# every query because `now` moves (the live scheduler's shape).
 for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_table/lpm_linear/512 \
             rank_throughput/testbed_8h rank_throughput/fabric_64s_128h \
+            rank_throughput/fabric_64s_128h_nearest rank_throughput/fabric_64s_128h_fresh_now \
             rank_throughput_mt/fabric_64s_128h/1 rank_throughput_mt/fabric_64s_128h/2 \
             rank_throughput_mt/fabric_64s_128h/4 rank_throughput_mt/fabric_64s_128h/8 \
             rank_throughput_kpaths/fabric_mp_128h/1 rank_throughput_kpaths/fabric_mp_128h/4 \
@@ -110,8 +114,12 @@ INT_RESULTS_DIR="$many_dir" \
     cargo run --release -q -p int-experiments --bin repro -- sustained --seed 1 --scale 0.05
 cmp "$one_dir/sustained.json" "$many_dir/sustained.json" \
     || { echo "sustained smoke: shard count changed the artifact"; exit 1; }
-grep -q '"digest"' "$one_dir/sustained.json" \
-    || { echo "sustained smoke: artifact has no digest"; exit 1; }
+# Both runs above share one ranking implementation, so a change that moves
+# every outcome alike passes the comparison. Pin the digest itself: it
+# changes only when ranking outcomes are meant to change.
+sustained_digest=3c087565e2e27f48
+grep -q "\"digest\": \"$sustained_digest\"" "$one_dir/sustained.json" \
+    || { echo "sustained smoke: digest differs from the pinned $sustained_digest"; exit 1; }
 
 echo "== shard stress (publish/read races)"
 # One extra pass over the concurrency tests with the stress cfg: more

@@ -3,9 +3,10 @@
 //! A counting allocator wraps the system allocator (this integration test
 //! is its own binary, so the `#[global_allocator]` is scoped to it). After
 //! one warm-up query per (requester, policy) — which publishes the epoch
-//! snapshot, runs the shared Dijkstra, and fills the path cache — every
-//! further query into a reused buffer against an unchanged map must hit
-//! only cached paths, reused scratch, and in-place sorting.
+//! snapshot, runs the shared Dijkstra, and sizes the priced row and the
+//! Nearest sort buffer — every further query into a reused buffer against
+//! an unchanged map, at a `now` that moves every round (so the row is
+//! repriced in place), must touch only reused scratch and sort in place.
 //!
 //! Single test function on purpose: parallel tests would interleave their
 //! allocations into the shared counter.
@@ -80,31 +81,43 @@ fn probes(seq: u64) -> Vec<ProbePayload> {
         .collect()
 }
 
+/// Static hop counts from scheduler host 100, so Nearest sorts on real
+/// keys rather than all-`u32::MAX` ones.
+fn distances() -> StaticDistances {
+    let mut d = StaticDistances::new();
+    for h in 0..8u32 {
+        d.set(100, h, 2 + (h * 5) % 3);
+    }
+    d
+}
+
 #[test]
 fn steady_state_rank_queries_allocate_nothing() {
     // The scheduler-level `_into` entry points: the full query path —
     // eviction check, publish-key check, snapshot evaluation with
     // silence and exclusions — reuses internal scratch and the caller's
     // buffers, so it is alloc-free.
-    let mut core = SchedulerCore::new(100, CoreConfig::default(), StaticDistances::new(), 1);
+    let mut core = SchedulerCore::new(100, CoreConfig::default(), distances(), 1);
     core.collector_mut().ingest_batch(&probes(1), 30_000_000);
     let mut detailed = RankOutcome::default();
     let mut ranked: Vec<RankedServer> = Vec::new();
     // Warm-up grows every buffer (including the audit-off fast path).
-    for policy in [Policy::IntDelay, Policy::IntBandwidth] {
+    for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
         core.rank_detailed_into_with(100, policy, 30_000_000, &mut detailed);
         core.rank_with_into(100, policy, 30_000_000, &mut ranked);
     }
     core.candidates_with_estimates_into(100, 30_000_000, &mut ranked);
     let warm = core.path_stats();
     assert_eq!(warm.sssp_runs, 1, "every policy shares one Dijkstra");
+    assert_eq!((warm.cache_misses, warm.cache_hits), (1, 6), "one priced row serves all 7");
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     counted(true);
-    for round in 0..1_000u64 {
+    for round in 1..=1_000u64 {
         let now = 30_000_000 + round;
         core.rank_detailed_into_with(100, Policy::IntDelay, now, &mut detailed);
         core.rank_with_into(100, Policy::IntBandwidth, now, &mut ranked);
+        core.rank_with_into(100, Policy::Nearest, now, &mut ranked);
         core.candidates_with_estimates_into(100, now, &mut ranked);
     }
     counted(false);
@@ -118,9 +131,14 @@ fn steady_state_rank_queries_allocate_nothing() {
     let steady = core.path_stats();
     assert_eq!(steady.sssp_runs, warm.sssp_runs, "no extra Dijkstra runs");
     assert_eq!(
+        steady.cache_misses,
+        warm.cache_misses + 1_000,
+        "each round's new `now` reprices the row once"
+    );
+    assert_eq!(
         steady.cache_hits,
-        warm.cache_hits + 3 * 8 * 1_000,
-        "every steady-state path resolution is a cache hit"
+        warm.cache_hits + 3 * 1_000,
+        "the round's other three queries reuse it"
     );
 
     // Snapshot serving (the sharded read path): after one warm-up query
@@ -128,7 +146,7 @@ fn steady_state_rank_queries_allocate_nothing() {
     let mut sharded = int_edge_sched::core::shard::ShardedScheduler::new(
         100,
         CoreConfig::default(),
-        StaticDistances::new(),
+        distances(),
         1,
         1,
     );
@@ -137,23 +155,17 @@ fn steady_state_rank_queries_allocate_nothing() {
     let snap = sharded.epoch_slot().current().expect("published");
     let mut scratch = SnapshotScratch::new();
     let mut rng = SmallRng::seed_from_u64(1);
-    for policy in [Policy::IntDelay, Policy::IntBandwidth] {
+    for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
         snap.rank_detailed_into(&mut scratch, 100, policy, 30_000_000, &mut rng, &mut detailed);
     }
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     counted(true);
-    for round in 0..1_000u64 {
+    for round in 1..=1_000u64 {
         let now = 30_000_000 + round;
-        snap.rank_detailed_into(&mut scratch, 100, Policy::IntDelay, now, &mut rng, &mut detailed);
-        snap.rank_detailed_into(
-            &mut scratch,
-            100,
-            Policy::IntBandwidth,
-            now,
-            &mut rng,
-            &mut detailed,
-        );
+        for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
+            snap.rank_detailed_into(&mut scratch, 100, policy, now, &mut rng, &mut detailed);
+        }
     }
     counted(false);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
@@ -163,4 +175,8 @@ fn steady_state_rank_queries_allocate_nothing() {
         "steady-state snapshot queries must not touch the heap"
     );
     assert!(!detailed.ranked.is_empty());
+    let hosts: Vec<u32> = detailed.ranked.iter().map(|s| s.host).collect();
+    assert_eq!(hosts, [0, 3, 6, 2, 5, 1, 4, 7], "Nearest orders by (hops, host)");
+    let s = scratch.stats();
+    assert_eq!((s.sssp_runs, s.cache_misses, s.cache_hits), (1, 1_001, 2 * 1_001));
 }
