@@ -107,7 +107,7 @@ fn bench_packet_throughput_observed(c: &mut Criterion) {
         b.iter(|| {
             let (t, h1, h2) = line_topo();
             let mut sim = Simulator::new(t, SimConfig::default());
-            sim.metrics_mut().set_enabled(true);
+            sim.set_metrics_enabled(true);
             sim.set_tracing(true);
             sim.install_app(
                 h1,
@@ -122,6 +122,73 @@ fn bench_packet_throughput_observed(c: &mut Criterion) {
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
             black_box(sim.trace_ring().seen());
             black_box(sim.stats().frames_delivered)
+        })
+    });
+    g.finish();
+}
+
+/// Per-series metrics cost at fabric scale: cross-fabric CBR on a tiered
+/// Clos with 512 ports and FlowHash ECMP, metrics on. Unlike
+/// `cbr_5s_one_switch_obs_on` (about six series), every forwarded,
+/// delivered and enqueued frame here records into one of ~700 series, so
+/// a per-record lookup that grows with the series count shows up.
+fn bench_clos_observed(c: &mut Criterion) {
+    use int_netsim::{ClosParams, ClosRoutes, EcmpSelect};
+
+    const END: SimDuration = SimDuration::from_millis(500);
+    let host_link = LinkParams {
+        bandwidth_bps: 1_000_000_000,
+        delay: SimDuration::from_micros(50),
+        queue_cap_pkts: 64,
+    };
+    let uplink = LinkParams {
+        bandwidth_bps: 1_000_000_000,
+        delay: SimDuration::from_micros(500),
+        queue_cap_pkts: 64,
+    };
+    let params = ClosParams { spines: 8, leaves: 16, hosts_per_leaf: 8, link: host_link };
+    let run = || {
+        let fabric = params.build_tiered(uplink);
+        let hosts = fabric.hosts;
+        let routes = ClosRoutes::new(
+            params.spines,
+            params.leaves,
+            params.hosts_per_leaf,
+            host_link.delay,
+            uplink.delay,
+        );
+        let cfg = SimConfig { ecmp: EcmpSelect::FlowHash, ..SimConfig::default() };
+        let mut sim = Simulator::new_clos(fabric.topo, routes, cfg);
+        sim.set_metrics_enabled(true);
+        // Every host sends to the host half the fabric away, so all
+        // traffic crosses the spine tier.
+        let n = hosts.len();
+        for (i, &h) in hosts.iter().enumerate() {
+            let dst = hosts[(i + n / 2) % n];
+            sim.install_app(
+                h,
+                Box::new(IperfSenderApp::new(IperfConfig::new(
+                    Topology::host_ip(dst),
+                    4_000_000,
+                    SimTime::ZERO,
+                    END,
+                ))),
+            );
+            sim.install_app(h, Box::new(UdpSinkApp::new(IPERF_UDP_PORT)));
+        }
+        sim.run_until(SimTime::ZERO + END);
+        sim
+    };
+
+    let events = run().stats().events_processed;
+    let mut g = c.benchmark_group("sim_throughput");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(events));
+    g.bench_function("clos_obs_on", |b| {
+        b.iter(|| {
+            let sim = run();
+            black_box(sim.metrics().series());
+            black_box(sim.stats().events_processed)
         })
     });
     g.finish();
@@ -373,6 +440,7 @@ criterion_group!(
     bench_fabric_build,
     bench_packet_throughput,
     bench_packet_throughput_observed,
+    bench_clos_observed,
     bench_timer_heavy,
     bench_tcp_transfer,
     bench_domain_scaling

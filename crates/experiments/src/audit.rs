@@ -105,7 +105,7 @@ fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> (AuditCell, u64
 
     // Light the observability layer: metrics, trace ring (engine +
     // data-plane programs), and the scheduler's decision audit.
-    tb.sim.metrics_mut().set_enabled(true);
+    tb.sim.set_metrics_enabled(true);
     tb.sim.set_tracing(true);
     tb.sim
         .app_mut::<SchedulerApp>(tb.scheduler, tb.scheduler_app)

@@ -15,7 +15,7 @@
 //! repro ablation-maxq       # queue-signal ablation
 //! repro ext-compute         # compute-aware extension demo
 //! repro giant               # 10k-host Clos, minutes of virtual time
-//!                           # (INT_SIM_DOMAINS / INT_OBS_STREAM aware;
+//!                           # (INT_SIM_DOMAINS aware; export streamed;
 //!                           #  --scale shrinks it for smokes)
 //!
 //! options:

@@ -9,8 +9,7 @@
 //!   hosts) is ever materialized;
 //! * **streaming epoch exports** ([`int_obs::EpochWriter`]) — each epoch's
 //!   JSONL line hits disk as the epoch closes, so observability memory is
-//!   one line, not the whole run (`INT_OBS_STREAM=0` restores the
-//!   in-core accumulate-then-write path, byte-identically);
+//!   one line, not the whole run;
 //! * **conservative parallel domains** ([`int_netsim::ParSim`]) —
 //!   `INT_SIM_DOMAINS=N` splits the fabric at the leaf–spine latency cut;
 //!   artifacts stay byte-identical to the single-thread oracle.
@@ -24,7 +23,7 @@ use int_netsim::{
     App, AppCtx, ClosParams, ClosRoutes, EcmpSelect, LinkParams, NetStats, ParSim, SimConfig,
     SimDuration, SimTime, Topology,
 };
-use int_obs::stream::{streaming_enabled, EpochWriter};
+use int_obs::stream::EpochWriter;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -95,7 +94,7 @@ impl GiantParams {
 }
 
 /// Deterministic artifact summary (everything here must be identical
-/// across `INT_SIM_DOMAINS` and `INT_OBS_STREAM` settings).
+/// across `INT_SIM_DOMAINS` settings).
 #[derive(Debug, Serialize, Deserialize)]
 pub struct GiantOut {
     pub params: GiantParams,
@@ -109,8 +108,6 @@ pub struct GiantOut {
     pub epochs: u64,
     /// Bytes of the JSONL artifact (newline framing included).
     pub export_bytes: u64,
-    /// Whether the export streamed to disk or accumulated in core.
-    pub streamed: bool,
     /// Merged ground-truth counters at end of run.
     pub stats: NetStats,
     /// Datagrams received by host apps (heartbeats + noise).
@@ -229,8 +226,7 @@ pub fn run(p: &GiantParams) -> std::io::Result<GiantOut> {
 
     let dir = report::results_dir();
     std::fs::create_dir_all(&dir)?;
-    let streamed = streaming_enabled();
-    let mut writer = EpochWriter::create(&dir.join("giant.jsonl"), streamed)?;
+    let mut writer = EpochWriter::create(&dir.join("giant.jsonl"), true)?;
 
     let end = p.duration.as_nanos();
     let epoch = p.epoch.as_nanos().max(1);
@@ -259,7 +255,6 @@ pub fn run(p: &GiantParams) -> std::io::Result<GiantOut> {
         switches,
         epochs: wstats.lines,
         export_bytes: wstats.bytes,
-        streamed,
         stats: sim.stats(),
         delivered,
     })
@@ -275,7 +270,6 @@ pub fn render(out: &GiantOut) -> String {
         vec!["virtual_s".to_string(), format!("{:.0}", out.params.duration.as_secs_f64())],
         vec!["epoch_lines".to_string(), out.epochs.to_string()],
         vec!["export_bytes".to_string(), out.export_bytes.to_string()],
-        vec!["streamed".to_string(), out.streamed.to_string()],
         vec!["events".to_string(), out.stats.events_processed.to_string()],
         vec!["delivered".to_string(), out.delivered.to_string()],
         vec!["drops".to_string(), out.stats.total_drops().to_string()],

@@ -29,7 +29,7 @@ use int_dataplane::{
     DataPlaneProgram, EcmpSelect, EgressCtx, EnqueueCtx, Frame, IngressCtx, IngressVerdict,
     IntProgramConfig, IntTelemetryProgram,
 };
-use int_obs::{DropReason, Labels, MetricsRegistry, TraceEvent, TraceKind, TraceRing};
+use int_obs::{DropReason, Histogram, Labels, MetricsRegistry, TraceEvent, TraceKind, TraceRing};
 use int_packet::{L4View, PacketBuilder, TcpHeader};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -151,6 +151,93 @@ impl DomainCtx {
     pub(crate) fn new(id: u16, of: Arc<Vec<u16>>) -> DomainCtx {
         DomainCtx { id, of, outbox: Vec::new(), seq: 0 }
     }
+
+    fn owns(&self, n: NodeId) -> bool {
+        self.of[n.0 as usize] == self.id
+    }
+}
+
+/// One owned node's engine counters.
+#[derive(Default)]
+struct NodeCounts {
+    forwarded: u64,
+    delivered: u64,
+    drops: u64,
+}
+
+/// The engine's own metric series (DESIGN.md §5.3) in dense arrays, so a
+/// record is one array write rather than a registry `BTreeMap` lookup.
+/// Nothing is allocated until metrics are first switched on, and then only
+/// for the nodes this engine owns: foreign nodes of a partitioned run never
+/// record. A port's histogram (552 bytes) is boxed on its first record, so
+/// switching metrics on costs one pointer per port, not one histogram.
+/// [`EngineSeries::fold_into`] renders registry series on read.
+#[derive(Default)]
+struct EngineSeries {
+    /// Dense slot of every owned node; `u32::MAX` for a foreign node.
+    slot: Vec<u32>,
+    /// `sim.frames_forwarded`, `sim.frames_delivered`, `sim.drops` by slot.
+    nodes: Vec<NodeCounts>,
+    /// Slot `i`'s ports are `queue_depth[port_base[i]..port_base[i + 1]]`.
+    port_base: Vec<u32>,
+    /// `sim.queue_depth_pkts`, one slot per owned port.
+    queue_depth: Vec<Option<Box<Histogram>>>,
+    /// `sim.faults` (owner-only, see `Simulator::owns_fault`).
+    faults: u64,
+}
+
+impl EngineSeries {
+    fn build(topo: &Topology, domain: Option<&DomainCtx>) -> EngineSeries {
+        let mut s = EngineSeries { port_base: vec![0], ..EngineSeries::default() };
+        for spec in &topo.nodes {
+            if domain.is_none_or(|d| d.owns(spec.id)) {
+                s.slot.push(s.nodes.len() as u32);
+                s.nodes.push(NodeCounts::default());
+                let base = s.port_base[s.port_base.len() - 1];
+                s.port_base.push(base + spec.ports.len() as u32);
+            } else {
+                s.slot.push(u32::MAX);
+            }
+        }
+        s.queue_depth = vec![None; s.port_base[s.port_base.len() - 1] as usize];
+        s
+    }
+
+    fn is_built(&self) -> bool {
+        !self.port_base.is_empty()
+    }
+
+    #[inline]
+    fn node(&mut self, node: NodeId) -> &mut NodeCounts {
+        &mut self.nodes[self.slot[node.0 as usize] as usize]
+    }
+
+    #[inline]
+    fn queue_depth(&mut self, node: NodeId, port: PortId) -> &mut Histogram {
+        let base = self.port_base[self.slot[node.0 as usize] as usize];
+        self.queue_depth[(base + port as u32) as usize].get_or_insert_default()
+    }
+
+    /// Fold every recorded series into `out`. Zero counters and empty
+    /// histograms add nothing, so a series exists only once recorded —
+    /// exactly the series set recording into a registry would build.
+    fn fold_into(&self, out: &mut MetricsRegistry) {
+        out.merge_counter("sim.faults", Labels::none(), self.faults);
+        for (v, &i) in self.slot.iter().enumerate() {
+            let Some(c) = self.nodes.get(i as usize) else { continue };
+            let node = v as u64;
+            out.merge_counter("sim.frames_forwarded", Labels::one("node", node), c.forwarded);
+            out.merge_counter("sim.frames_delivered", Labels::one("node", node), c.delivered);
+            out.merge_counter("sim.drops", Labels::one("node", node), c.drops);
+            let (lo, hi) = (self.port_base[i as usize], self.port_base[i as usize + 1]);
+            for (p, h) in self.queue_depth[lo as usize..hi as usize].iter().enumerate() {
+                if let Some(h) = h {
+                    let labels = Labels::two("node", node, "port", p as u64);
+                    out.merge_histogram("sim.queue_depth_pkts", labels, h);
+                }
+            }
+        }
+    }
 }
 
 /// The discrete-event network simulator.
@@ -174,9 +261,11 @@ pub struct Simulator {
     /// Scratch op buffers for app callbacks. A stack (not a single buffer)
     /// because callbacks re-enter: `invoke_app` → `flush_tcp` → `invoke_app`.
     ops_free: Vec<Vec<AppOp>>,
-    /// Deterministic metrics registry (disabled by default: every record
-    /// call is one branch; see DESIGN.md §5.3).
-    metrics: MetricsRegistry,
+    /// Whether the engine records its metric series (off by default:
+    /// every record site is then one branch; see DESIGN.md §5.3).
+    metrics_on: bool,
+    /// The engine's metric series; empty until metrics are switched on.
+    series: EngineSeries,
     /// Typed trace-event ring (disabled by default).
     trace: TraceRing,
     /// Scratch for draining data-plane program trace buffers.
@@ -249,10 +338,7 @@ impl Simulator {
         cfg: SimConfig,
         domain: Option<DomainCtx>,
     ) -> Simulator {
-        let owns = |n: NodeId| match &domain {
-            Some(d) => d.of[n.0 as usize] == d.id,
-            None => true,
-        };
+        let owns = |n: NodeId| domain.as_ref().is_none_or(|d| d.owns(n));
 
         let mut nodes = Vec::with_capacity(topo.nodes.len());
         for spec in &topo.nodes {
@@ -391,7 +477,8 @@ impl Simulator {
             pool: BufPool::new(),
             faults: None,
             ops_free: Vec::new(),
-            metrics: MetricsRegistry::new(),
+            metrics_on: false,
+            series: EngineSeries::default(),
             trace: TraceRing::default(),
             trace_scratch: Vec::new(),
             host_uplinks,
@@ -465,14 +552,30 @@ impl Simulator {
         self.cfg.account_traffic = on;
     }
 
-    /// The metrics registry (disabled by default).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+    /// Switch recording of the engine's metric series on or off (off by
+    /// default). Series recorded so far are kept; the first switch-on
+    /// allocates the dense per-node and per-port arrays.
+    pub fn set_metrics_enabled(&mut self, on: bool) {
+        if on && !self.series.is_built() {
+            self.series = EngineSeries::build(&self.topo, self.domain.as_ref());
+        }
+        self.metrics_on = on;
     }
 
-    /// Mutable access to the metrics registry (enable it, read series).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
+    /// The engine's metric series, folded into a fresh (disabled) registry
+    /// on each call: `sim.frames_forwarded`, `sim.frames_delivered` and
+    /// `sim.drops` per node, `sim.faults`, and `sim.queue_depth_pkts` per
+    /// port. Empty unless metrics were switched on.
+    pub fn metrics(&self) -> MetricsRegistry {
+        let mut out = MetricsRegistry::new();
+        self.fold_metrics_into(&mut out);
+        out
+    }
+
+    /// Fold this engine's series into `out` (a partitioned run folds every
+    /// domain into one registry; each node's series lives in its owner).
+    pub(crate) fn fold_metrics_into(&self, out: &mut MetricsRegistry) {
+        self.series.fold_into(out);
     }
 
     /// The trace-event ring (disabled by default).
@@ -640,7 +743,7 @@ impl Simulator {
             LinkDown(l) | LinkUp(l) => self.topo.link(l).a.0,
             SwitchFail(n) | SwitchRecover(n) => n,
         };
-        d.of[subject.0 as usize] == d.id
+        d.owns(subject)
     }
 
     /// Drain the cross-domain outbox (empty on an unpartitioned run).
@@ -661,10 +764,12 @@ impl Simulator {
         }
     }
 
-    /// Record one drop in the metrics registry and trace ring (both
+    /// Record one drop in the metric series and trace ring (both
     /// disabled by default — two predictable branches on the hot path).
     fn note_drop(&mut self, node: NodeId, port: PortId, reason: DropReason) {
-        self.metrics.counter_inc("sim.drops", Labels::one("node", node.0 as u64));
+        if self.metrics_on {
+            self.series.node(node).drops += 1;
+        }
         self.trace.push(
             self.now.as_nanos(),
             TraceKind::Drop { node: node.0, port: port as u8, reason },
@@ -692,7 +797,9 @@ impl Simulator {
             SwitchFail(n) => ("switch_fail", n.0, u32::MAX),
             SwitchRecover(n) => ("switch_recover", n.0, u32::MAX),
         };
-        self.metrics.counter_inc("sim.faults", Labels::none());
+        if self.metrics_on {
+            self.series.faults += 1;
+        }
         self.trace
             .push(self.now.as_nanos(), TraceKind::Fault { action: label, subject, peer });
     }
@@ -722,8 +829,9 @@ impl Simulator {
                 match sw.program.ingress(&mut frame, &ictx) {
                     IngressVerdict::Forward(eport) => {
                         self.stats.frames_forwarded += 1;
-                        self.metrics
-                            .counter_inc("sim.frames_forwarded", Labels::one("node", node.0 as u64));
+                        if self.metrics_on {
+                            self.series.node(node).forwarded += 1;
+                        }
                         self.enqueue(node, eport, frame);
                     }
                     IngressVerdict::Drop => {
@@ -770,16 +878,14 @@ impl Simulator {
             self.pool.recycle(dropped);
             return;
         }
-        if self.metrics.enabled() || self.trace.enabled() {
+        if self.metrics_on || self.trace.enabled() {
             let depth = match &self.nodes[node.0 as usize] {
                 NodeState::Host(h) => h.ports[port as usize].queue.depth_pkts(),
                 NodeState::Switch(s) => s.ports[port as usize].queue.depth_pkts(),
             } as u32;
-            self.metrics.histogram_record(
-                "sim.queue_depth_pkts",
-                Labels::two("node", node.0 as u64, "port", port as u64),
-                depth as u64,
-            );
+            if self.metrics_on {
+                self.series.queue_depth(node, port).record(depth as u64);
+            }
             self.trace.push(
                 now_ns,
                 TraceKind::Enqueue { node: node.0, port: port as u8, depth_pkts: depth },
@@ -909,7 +1015,7 @@ impl Simulator {
         // the domain boundary through the outbox instead of the local
         // event queue; the barrier exchange re-schedules it remotely.
         if let Some(d) = &mut self.domain {
-            if d.of[binding.peer.0 as usize] != d.id {
+            if !d.owns(binding.peer) {
                 d.outbox.push(CrossMsg {
                     at: arrive_at,
                     sent_at: self.now,
@@ -970,8 +1076,9 @@ impl Simulator {
                     return;
                 };
                 self.stats.frames_delivered += 1;
-                self.metrics
-                    .counter_inc("sim.frames_delivered", Labels::one("node", node.0 as u64));
+                if self.metrics_on {
+                    self.series.node(node).delivered += 1;
+                }
                 let payload = parsed.payload(&frame.bytes);
                 let (src, sport, dport) = (ip.src, udp.src_port, udp.dst_port);
                 self.invoke_app(node, app_idx, move |app, ctx| {
@@ -981,8 +1088,9 @@ impl Simulator {
             }
             Some(L4View::Tcp(tcp)) => {
                 self.stats.frames_delivered += 1;
-                self.metrics
-                    .counter_inc("sim.frames_delivered", Labels::one("node", node.0 as u64));
+                if self.metrics_on {
+                    self.series.node(node).delivered += 1;
+                }
                 let now = self.now;
                 if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
                     h.tcp.on_segment(now, ip.src, &tcp, parsed.payload(&frame.bytes));
@@ -1927,7 +2035,7 @@ mod tests {
             let (t, h1, s1, h2) = line_topo();
             let mut sim = Simulator::new(t, cfg());
             if instrument {
-                sim.metrics_mut().set_enabled(true);
+                sim.set_metrics_enabled(true);
                 sim.set_tracing(true);
             }
             sim.install_app(
@@ -1984,6 +2092,37 @@ mod tests {
 
         // Engine behaviour is identical with and without instrumentation.
         assert_eq!(dark.stats(), lit.stats(), "observability never perturbs the schedule");
+    }
+
+    /// Metrics off costs no memory: the dense series arrays stay
+    /// unallocated and nothing is reported. Switching on sizes them to the
+    /// owned nodes only, so a domain holds no histograms for foreign ports.
+    #[test]
+    fn metrics_off_allocates_no_dense_arrays() {
+        let (t, h1, _s1, h2) = line_topo();
+        let mut sim = Simulator::new(t.clone(), cfg());
+        sim.install_app(
+            h1,
+            Box::new(UdpSender { dst: Topology::host_ip(h2), payload: vec![1; 64] }),
+        );
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+        assert_eq!(sim.stats().frames_forwarded, 1);
+        let s = &sim.series;
+        assert_eq!(
+            (s.slot.capacity(), s.nodes.capacity(), s.port_base.capacity()),
+            (0, 0, 0)
+        );
+        assert_eq!(s.queue_depth.capacity(), 0);
+        assert_eq!(sim.metrics().series(), 0);
+
+        // Domain 0 owns h1 (one port) and s1 (two ports), not h2.
+        let routes = Arc::new(Routes::Table(RouteTable::compute(&t)));
+        let ctx = DomainCtx::new(0, Arc::new(vec![0, 0, 1]));
+        let mut dom = Simulator::build(Arc::new(t), routes, cfg(), Some(ctx));
+        dom.set_metrics_enabled(true);
+        assert_eq!(dom.series.slot, [0, 1, u32::MAX]);
+        assert_eq!(dom.series.port_base, [0, 1, 3]);
+        assert_eq!((dom.series.nodes.len(), dom.series.queue_depth.len()), (2, 3));
     }
 
     #[test]

@@ -141,7 +141,7 @@ impl ParSim {
     /// Enable (or disable) metrics recording in every domain.
     pub fn set_metrics_enabled(&mut self, on: bool) {
         for sim in &mut self.sims {
-            sim.metrics_mut().set_enabled(on);
+            sim.set_metrics_enabled(on);
         }
     }
 
@@ -173,12 +173,13 @@ impl ParSim {
         self.sims.iter().map(|s| s.pending_events()).sum()
     }
 
-    /// Merged metrics: every domain's registry folded into one (counters
-    /// sum, histograms merge fieldwise, gauges keep the latest sample).
+    /// Merged metrics: every node's series gathered from its owner
+    /// domain and folded into one registry (`sim.faults` sums the
+    /// owner-only fault counts), byte-identical to the single-domain run.
     pub fn merged_metrics(&self) -> MetricsRegistry {
         let mut out = MetricsRegistry::new();
         for sim in &self.sims {
-            out.merge(sim.metrics());
+            sim.fold_metrics_into(&mut out);
         }
         out
     }
@@ -401,9 +402,19 @@ mod tests {
         (sim.stats(), metrics, trace, delivered)
     }
 
+    /// FNV-1a 64 of a rendered export.
+    fn fnv1a(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// The merged metrics snapshot of `run_par`, pinned: equal across
+    /// domain counts is not enough, since a change that moved every
+    /// count alike would still pass that comparison.
+    const METRICS_DIGEST: u64 = 0xe40c_2e10_fba5_953e;
+
     /// The tentpole determinism contract: a congested, fault-injected run
     /// produces identical stats, metrics, and canonical traces at 1, 2,
-    /// and 4 domains.
+    /// and 4 domains, and the metrics bytes equal the pinned digest.
     #[test]
     fn partitioned_runs_match_the_single_thread_oracle() {
         let (s1, m1, t1, d1) = run_par(1);
@@ -411,6 +422,16 @@ mod tests {
         assert!(s1.total_drops() > 0, "scenario must congest");
         assert!(s1.drops_link_loss > 0, "loss must fire");
         assert!(d1 > 0);
+        for series in [
+            "\"sim.drops{",
+            "\"sim.faults\":",
+            "\"sim.frames_forwarded{",
+            "\"sim.frames_delivered{",
+            "\"sim.queue_depth_pkts{",
+        ] {
+            assert!(m1.contains(series), "snapshot lacks {series}: {m1}");
+        }
+        assert_eq!(fnv1a(&m1), METRICS_DIGEST, "metrics bytes moved: {m1}");
         for domains in [2u16, 4] {
             let (s, m, t, d) = run_par(domains);
             assert_eq!(s, s1, "stats diverge at {domains} domains");

@@ -8,6 +8,8 @@
 //! the order the caller writes them (callers iterate `BTreeMap`s or
 //! fixed field lists, so the order is deterministic by construction).
 
+use std::fmt::Write as _;
+
 /// Append-only JSON buffer.
 ///
 /// The builder does not validate nesting — callers drive it with
@@ -88,14 +90,14 @@ impl JsonBuf {
     /// Unsigned integer value.
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.sep();
-        self.out.push_str(&v.to_string());
+        let _ = write!(self.out, "{v}");
         self
     }
 
     /// Signed integer value.
     pub fn i64(&mut self, v: i64) -> &mut Self {
         self.sep();
-        self.out.push_str(&v.to_string());
+        let _ = write!(self.out, "{v}");
         self
     }
 
@@ -117,6 +119,12 @@ impl JsonBuf {
 /// JSON string escaping (quotes, backslash, control chars).
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        // Metric keys and most values need no escaping: one copy.
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -125,7 +133,7 @@ fn write_str(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

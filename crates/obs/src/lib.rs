@@ -14,8 +14,8 @@
 //!   reason, and the chosen host.
 //! * [`EpochWriter`] — bounded-memory artifact streaming: epoch lines
 //!   go to disk as each epoch closes (instead of accumulating in RAM
-//!   for the whole run), with an in-core fallback mode that produces a
-//!   byte-identical file — the equivalence the CI smoke `cmp`s.
+//!   for the whole run), with an in-core mode that produces a
+//!   byte-identical file — the equivalence oracle its unit tests pin.
 //!
 //! Everything is **deterministic** (sim time only, integer values,
 //! `BTreeMap`-ordered exports, counter-based sampling) so exports are

@@ -13,7 +13,9 @@
 //!   simulation pays ~one predictable branch per event.
 
 use crate::json::JsonBuf;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Up to two `(key, value)` integer labels attached to a series.
 ///
@@ -43,23 +45,33 @@ impl Labels {
         Self { labels: [Some((k1, v1)), Some((k2, v2))] }
     }
 
-    /// Render as `{k=v,k=v}`, or the empty string when unlabelled.
-    fn suffix(&self) -> String {
-        let mut s = String::new();
+    /// Render the series key `name{k=v,k=v}` (bare `name` when
+    /// unlabelled) into `out`, replacing its contents.
+    fn write_key(&self, name: &str, out: &mut String) {
+        out.clear();
+        out.push_str(name);
+        let mut open = false;
         for (k, v) in self.labels.iter().flatten() {
-            s.push(if s.is_empty() { '{' } else { ',' });
-            s.push_str(k);
-            s.push('=');
-            s.push_str(&v.to_string());
+            out.push(if open { ',' } else { '{' });
+            open = true;
+            let _ = write!(out, "{k}={v}");
         }
-        if !s.is_empty() {
-            s.push('}');
+        if open {
+            out.push('}');
         }
-        s
     }
 }
 
 type Key = (&'static str, Labels);
+
+/// JSON keys of the 65 log2 buckets, so rendering a histogram formats no
+/// integers.
+const BUCKET_KEYS: [&str; 65] = [
+    "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16",
+    "17", "18", "19", "20", "21", "22", "23", "24", "25", "26", "27", "28", "29", "30", "31", "32",
+    "33", "34", "35", "36", "37", "38", "39", "40", "41", "42", "43", "44", "45", "46", "47", "48",
+    "49", "50", "51", "52", "53", "54", "55", "56", "57", "58", "59", "60", "61", "62", "63", "64",
+];
 
 /// A gauge sample: last value and the sim time it was set.
 #[derive(Debug, Clone, Copy)]
@@ -88,7 +100,9 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    fn record(&mut self, v: u64) {
+    /// Record one observation.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
         if self.count == 0 || v < self.min {
             self.min = v;
         }
@@ -222,33 +236,31 @@ impl MetricsRegistry {
         self.counters.len() + self.gauges.len() + self.histograms.len()
     }
 
-    /// Fold another registry's series into this one: counters add
-    /// (saturating), histograms merge fieldwise, and a gauge keeps the
-    /// sample with the larger `at_ns` (on a tie, the already-held one).
-    ///
-    /// Counter and histogram merging is exact and order-independent, so
-    /// per-domain registries folded in any order reproduce the registry
-    /// a single event loop would have built. Gauge merging is only
-    /// well-defined when at most one source writes each gauge series
-    /// (true in this workspace: the engine records no gauges).
-    ///
-    /// Aggregation ignores the `enabled` flags — a disabled accumulator
-    /// can collect from enabled sources.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            let c = self.counters.entry(*k).or_insert(0);
-            *c = c.saturating_add(*v);
+    /// Add an outside counter value into a series (saturating). This is
+    /// aggregation, not recording: it ignores `enabled`, so a disabled
+    /// registry can collect values counted elsewhere (the simulator's dense
+    /// series, per-domain totals). A zero value creates no series — a
+    /// series exists only once something was counted.
+    pub fn merge_counter(&mut self, name: &'static str, labels: Labels, value: u64) {
+        if value == 0 {
+            return;
         }
-        for (k, g) in &other.gauges {
-            match self.gauges.get(k) {
-                Some(held) if held.at_ns >= g.at_ns => {}
-                _ => {
-                    self.gauges.insert(*k, *g);
-                }
+        let c = self.counters.entry((name, labels)).or_insert(0);
+        *c = c.saturating_add(value);
+    }
+
+    /// Fold an outside histogram into a series: counts and buckets add,
+    /// min/max widen, the sum saturates — exact in any fold order. Ignores
+    /// `enabled`; an empty histogram creates no series.
+    pub fn merge_histogram(&mut self, name: &'static str, labels: Labels, h: &Histogram) {
+        if h.count == 0 {
+            return;
+        }
+        match self.histograms.entry((name, labels)) {
+            Entry::Vacant(e) => {
+                e.insert(h.clone());
             }
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(*k).or_default().merge(h);
+            Entry::Occupied(mut e) => e.get_mut().merge(h),
         }
     }
 
@@ -269,15 +281,18 @@ impl MetricsRegistry {
     /// metrics snapshot inside each epoch line without an intermediate
     /// `String` per epoch.
     pub fn snapshot_into(&self, j: &mut JsonBuf) {
+        let mut key = String::new();
         j.obj_open();
         j.key("counters").obj_open();
         for ((name, labels), v) in &self.counters {
-            j.key(&format!("{name}{}", labels.suffix())).u64(*v);
+            labels.write_key(name, &mut key);
+            j.key(&key).u64(*v);
         }
         j.obj_close();
         j.key("gauges").obj_open();
         for ((name, labels), g) in &self.gauges {
-            j.key(&format!("{name}{}", labels.suffix()));
+            labels.write_key(name, &mut key);
+            j.key(&key);
             j.obj_open();
             j.key("value").i64(g.value);
             j.key("at_ns").u64(g.at_ns);
@@ -286,16 +301,17 @@ impl MetricsRegistry {
         j.obj_close();
         j.key("histograms").obj_open();
         for ((name, labels), h) in &self.histograms {
-            j.key(&format!("{name}{}", labels.suffix()));
+            labels.write_key(name, &mut key);
+            j.key(&key);
             j.obj_open();
             j.key("count").u64(h.count);
             j.key("sum").u64(h.sum);
             j.key("min").u64(h.min);
             j.key("max").u64(h.max);
             j.key("log2_buckets").obj_open();
-            for (i, n) in h.buckets.iter().enumerate() {
+            for (n, bucket) in h.buckets.iter().zip(BUCKET_KEYS) {
                 if *n > 0 {
-                    j.key(&i.to_string()).u64(*n);
+                    j.key(bucket).u64(*n);
                 }
             }
             j.obj_close();
@@ -388,48 +404,90 @@ mod tests {
     #[test]
     fn merged_shards_render_like_one_registry() {
         // The parallel-DES aggregation contract: split the same record
-        // stream across registries, merge in any order, and the snapshot
-        // must match the one an unsplit registry renders.
-        let record = |m: &mut MetricsRegistry, i: u64| {
-            m.counter_add("frames", Labels::one("node", i % 3), i);
-            m.histogram_record("qlen", Labels::none(), i * 7);
-        };
+        // stream across per-domain accumulators, fold them in either
+        // order, and the snapshot must match the one an unsplit registry
+        // renders.
         let mut whole = MetricsRegistry::new();
         whole.set_enabled(true);
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.set_enabled(true);
-        b.set_enabled(true);
-        for i in 0..100 {
-            record(&mut whole, i);
-            record(if i % 2 == 0 { &mut a } else { &mut b }, i);
+        let mut frames = [[0u64; 3]; 2];
+        let mut qlen = [Histogram::default(), Histogram::default()];
+        for i in 0..100u64 {
+            whole.counter_add("frames", Labels::one("node", i % 3), i);
+            whole.histogram_record("qlen", Labels::none(), i * 7);
+            let d = (i % 2) as usize;
+            frames[d][(i % 3) as usize] += i;
+            qlen[d].record(i * 7);
         }
-        let mut ab = MetricsRegistry::new();
-        ab.merge(&a);
-        ab.merge(&b);
-        let mut ba = MetricsRegistry::new();
-        ba.merge(&b);
-        ba.merge(&a);
-        assert_eq!(ab.snapshot_json(), whole.snapshot_json());
-        assert_eq!(ba.snapshot_json(), whole.snapshot_json());
+        for order in [[0, 1], [1, 0]] {
+            let mut m = MetricsRegistry::new();
+            for d in order {
+                for (node, &v) in frames[d].iter().enumerate() {
+                    m.merge_counter("frames", Labels::one("node", node as u64), v);
+                }
+                m.merge_histogram("qlen", Labels::none(), &qlen[d]);
+            }
+            assert_eq!(m.snapshot_json(), whole.snapshot_json());
+        }
     }
 
     #[test]
-    fn gauge_merge_keeps_latest_sample() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        a.set_enabled(true);
-        b.set_enabled(true);
-        a.gauge_set("g", Labels::none(), 1, 10);
-        b.gauge_set("g", Labels::none(), 2, 20);
+    fn snapshot_renders_edge_cases_byte_exactly() {
+        // Pins the rendered bytes: 0/1/2-label keys in BTreeMap order
+        // (label values compare as integers, so node=1 sorts before
+        // node=10), extreme integers, and the first and last log2 buckets.
         let mut m = MetricsRegistry::new();
-        m.merge(&a);
-        m.merge(&b);
-        assert_eq!(m.gauge("g", Labels::none()), Some(2));
-        let mut rev = MetricsRegistry::new();
-        rev.merge(&b);
-        rev.merge(&a);
-        assert_eq!(rev.gauge("g", Labels::none()), Some(2), "order-independent");
+        m.set_enabled(true);
+        m.counter_add("c", Labels::two("node", 3, "port", 0), 2);
+        m.counter_add("c", Labels::one("node", 3), 1);
+        m.counter_add("c", Labels::none(), u64::MAX);
+        m.counter_inc("b", Labels::one("node", u64::MAX));
+        m.gauge_set("g", Labels::none(), i64::MIN, 7);
+        m.gauge_set("g", Labels::one("shard", 1), i64::MAX, u64::MAX);
+        m.histogram_record("h", Labels::two("node", 1, "port", 2), 0);
+        m.histogram_record("h", Labels::two("node", 1, "port", 2), u64::MAX);
+        m.histogram_record("h", Labels::one("node", 10), 5);
+        m.histogram_record("h", Labels::none(), 1);
+        assert_eq!(
+            m.snapshot_json(),
+            concat!(
+                r#"{"counters":{"b{node=18446744073709551615}":1,"c":18446744073709551615,"#,
+                r#""c{node=3}":1,"c{node=3,port=0}":2},"#,
+                r#""gauges":{"g":{"value":-9223372036854775808,"at_ns":7},"#,
+                r#""g{shard=1}":{"value":9223372036854775807,"at_ns":18446744073709551615}},"#,
+                r#""histograms":{"h":{"count":1,"sum":1,"min":1,"max":1,"log2_buckets":{"1":1}},"#,
+                r#""h{node=1,port=2}":{"count":2,"sum":18446744073709551615,"min":0,"#,
+                r#""max":18446744073709551615,"log2_buckets":{"0":1,"64":1}},"#,
+                r#""h{node=10}":{"count":1,"sum":5,"min":5,"max":5,"log2_buckets":{"3":1}}}}"#,
+            )
+        );
+    }
+
+    #[test]
+    fn merge_helpers_fold_outside_values_like_recording() {
+        // Folding dense outside values must render exactly like recording
+        // the same observations, whether or not the target is enabled, and
+        // zero values must not create series.
+        let mut recorded = MetricsRegistry::new();
+        recorded.set_enabled(true);
+        let mut h = Histogram::default();
+        for v in [0, 3, 900] {
+            recorded.histogram_record("q", Labels::two("node", 4, "port", 1), v);
+            h.record(v);
+        }
+        recorded.counter_add("f", Labels::one("node", 4), 6);
+
+        let mut folded = MetricsRegistry::new();
+        assert!(!folded.enabled());
+        folded.merge_counter("f", Labels::one("node", 4), 2);
+        folded.merge_counter("f", Labels::one("node", 4), 4);
+        folded.merge_counter("f", Labels::one("node", 5), 0);
+        folded.merge_histogram("q", Labels::two("node", 4, "port", 1), &h);
+        folded.merge_histogram("q", Labels::two("node", 5, "port", 0), &Histogram::default());
+        assert_eq!(folded.series(), 2, "zero values create no series");
+        assert_eq!(folded.snapshot_json(), recorded.snapshot_json());
+
+        folded.merge_counter("f", Labels::one("node", 4), u64::MAX);
+        assert_eq!(folded.counter("f", Labels::one("node", 4)), u64::MAX, "saturates");
     }
 
     #[test]

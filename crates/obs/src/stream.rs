@@ -9,11 +9,10 @@
 //!
 //! The writer keeps an **in-core mode** that accumulates lines and
 //! writes them in one shot at [`EpochWriter::finish`]. Both modes emit
-//! the same bytes by construction (same lines, same `\n` framing), and
-//! the CI streaming smoke `cmp`s the two files to pin that equivalence.
-//! Mode selection for experiments comes from the `INT_OBS_STREAM` env
-//! var via [`streaming_enabled`]: streaming is the default, `0` forces
-//! the in-core path (the A-side of the PR-9 memory benchmark).
+//! the same bytes by construction (same lines, same `\n` framing); the
+//! unit tests below pin that equivalence, including lines longer than
+//! the `BufWriter` buffer. Experiments always stream; the in-core mode
+//! is the equivalence oracle and the A-side of memory comparisons.
 //!
 //! Lines are produced by the caller with [`JsonBuf`](crate::json::JsonBuf)
 //! — integer-only, deterministic — so a streamed artifact is still
@@ -95,14 +94,6 @@ impl EpochWriter {
     }
 }
 
-/// Should experiments stream their epoch artifacts? Controlled by the
-/// `INT_OBS_STREAM` env var: unset or any value other than `0` means
-/// stream (the default); `0` forces the in-core accumulate-then-write
-/// path, the A-side of the PR-9 memory comparison.
-pub fn streaming_enabled() -> bool {
-    std::env::var("INT_OBS_STREAM").map(|v| v != "0").unwrap_or(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +110,17 @@ mod tests {
 
     #[test]
     fn streamed_and_in_core_files_are_byte_identical() {
-        let lines = ["{\"epoch\":0,\"x\":1}", "{\"epoch\":1,\"x\":2}", "{\"epoch\":2,\"x\":3}"];
+        // An epoch-shaped line longer than BufWriter's 8 KiB buffer (a
+        // metrics snapshot of many series), an empty line, and short ones:
+        // both sinks must write the same bytes.
+        let mut m = crate::MetricsRegistry::new();
+        m.set_enabled(true);
+        for node in 0..200 {
+            m.histogram_record("q", crate::Labels::two("node", node, "port", 1), node);
+        }
+        let long = format!("{{\"epoch\":1,\"metrics\":{}}}", m.snapshot_json());
+        assert!(long.len() > 8 * 1024, "line must outgrow the BufWriter buffer");
+        let lines = ["{\"epoch\":0,\"x\":1}", long.as_str(), "", "{\"epoch\":2,\"x\":3}"];
         let p_stream = scratch("s");
         let p_core = scratch("c");
         for (path, streamed) in [(&p_stream, true), (&p_core, false)] {
@@ -128,12 +129,13 @@ mod tests {
                 w.write_line(l).unwrap();
             }
             let stats = w.finish().unwrap();
-            assert_eq!(stats.lines, 3);
+            assert_eq!(stats.lines, 4);
+            assert_eq!(stats.bytes, std::fs::metadata(path).unwrap().len());
         }
         let a = std::fs::read(&p_stream).unwrap();
         let b = std::fs::read(&p_core).unwrap();
         assert_eq!(a, b);
-        assert_eq!(a, b"{\"epoch\":0,\"x\":1}\n{\"epoch\":1,\"x\":2}\n{\"epoch\":2,\"x\":3}\n");
+        assert_eq!(a, format!("{}\n{long}\n\n{}\n", lines[0], lines[3]).into_bytes());
         let _ = std::fs::remove_file(&p_stream);
         let _ = std::fs::remove_file(&p_core);
     }

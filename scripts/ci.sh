@@ -40,6 +40,9 @@ echo "$bench_log"
 # rank_throughput/fabric_64s_128h_{nearest,fresh_now} guard the priced-row
 # serving memo: the Nearest sort's keyed lookups, and a row rebuilt on
 # every query because `now` moves (the live scheduler's shape).
+# sim_throughput/clos_obs_on guards the engine's dense metric series: a
+# 512-port Clos with metrics on, where a per-record cost that grows with
+# the series count would show.
 for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_table/lpm_linear/512 \
             rank_throughput/testbed_8h rank_throughput/fabric_64s_128h \
             rank_throughput/fabric_64s_128h_nearest rank_throughput/fabric_64s_128h_fresh_now \
@@ -48,6 +51,7 @@ for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_tabl
             rank_throughput_kpaths/fabric_mp_128h/1 rank_throughput_kpaths/fabric_mp_128h/4 \
             fabric_build/clos_128s_240h \
             sim_throughput/domains_1 sim_throughput/domains_2 sim_throughput/domains_4 \
+            sim_throughput/clos_obs_on \
             publish_throughput/clos_512s/full publish_throughput/clos_512s/incremental \
             ingest_throughput/clos_512s_960probes; do
     grep -q "$name" <<<"$bench_log" \
@@ -168,25 +172,26 @@ assert any(
 print("audit smoke OK: %d decisions audited" % sum(c["decisions"] for c in cells))
 EOF
 
-echo "== giant run: streaming + domain determinism (smoke)"
-# Two contracts at once on a scaled-down giant Clos run:
-#  - the streaming epoch writer is an I/O strategy, not a format — the
-#    streamed (INT_OBS_STREAM=1) and in-core (=0) exports must be
-#    byte-identical;
+echo "== giant run: domain determinism + pinned export (smoke)"
+# Two contracts on a scaled-down giant Clos run:
 #  - the conservative parallel engine is invisible in the artifact —
 #    INT_SIM_DOMAINS=4 must reproduce the single-domain giant.jsonl
-#    byte-for-byte. (giant.json records the domain count and I/O mode,
-#    so only the epoch export is compared.)
+#    byte-for-byte (giant.json records the domain count, so only the
+#    epoch export is compared);
+#  - the export itself is pinned: the 1-vs-4 comparison cannot see a
+#    change that moves every domain count alike (an engine metric
+#    recorded differently, say). The pin changes only when the engine's
+#    stats or metric series are meant to change.
+# (Streamed and in-core EpochWriter output are pinned equal by the
+# int-obs stream unit tests.)
 gs_dir="$(scratch_dir)"
-gi_dir="$(scratch_dir)"
 gd_dir="$(scratch_dir)"
-INT_RESULTS_DIR="$gs_dir" INT_OBS_STREAM=1 INT_SIM_DOMAINS=1 \
+INT_RESULTS_DIR="$gs_dir" INT_SIM_DOMAINS=1 \
     cargo run --release -q -p int-experiments --bin repro -- giant --seed 1 --scale 0.02
-INT_RESULTS_DIR="$gi_dir" INT_OBS_STREAM=0 INT_SIM_DOMAINS=1 \
-    cargo run --release -q -p int-experiments --bin repro -- giant --seed 1 --scale 0.02
-cmp "$gs_dir/giant.jsonl" "$gi_dir/giant.jsonl" \
-    || { echo "giant smoke: INT_OBS_STREAM changed the epoch export"; exit 1; }
-INT_RESULTS_DIR="$gd_dir" INT_OBS_STREAM=1 INT_SIM_DOMAINS=4 \
+giant_sha256=aed89402648898cddcff62d6abf4ca49a443c03b5e2f71146643e5ab7e063416
+sha256sum "$gs_dir/giant.jsonl" | grep -q "^$giant_sha256 " \
+    || { echo "giant smoke: giant.jsonl differs from the pinned sha256 $giant_sha256"; exit 1; }
+INT_RESULTS_DIR="$gd_dir" INT_SIM_DOMAINS=4 \
     cargo run --release -q -p int-experiments --bin repro -- giant --seed 1 --scale 0.02
 cmp "$gs_dir/giant.jsonl" "$gd_dir/giant.jsonl" \
     || { echo "giant smoke: INT_SIM_DOMAINS changed the epoch export"; exit 1; }
