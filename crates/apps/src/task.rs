@@ -87,9 +87,15 @@ pub struct ExecutedTask {
     pub finished_at: SimTime,
 }
 
+/// A submission being received. Only the stream header is buffered; the
+/// body is counted, never stored (the executor needs its length, not its
+/// bytes).
 struct InboundStream {
-    buf: Vec<u8>,
+    /// Header bytes received so far (at most `TaskStreamHeader::LEN`).
+    head: Vec<u8>,
     header: Option<TaskStreamHeader>,
+    /// Body bytes received after the header.
+    body_bytes: u64,
     accepted_at: SimTime,
     data_received_at: Option<SimTime>,
 }
@@ -208,12 +214,21 @@ impl TaskExecutorApp {
         self.running + self.queue.len() as u32 + self.receiving
     }
 
-    fn try_consume(&mut self, ctx: &mut AppCtx<'_>, conn: ConnId) {
+    /// Account one in-order chunk of a submission stream: header bytes are
+    /// buffered until the header decodes, body bytes only counted; the
+    /// task is admitted once its whole body has arrived.
+    fn try_consume(&mut self, ctx: &mut AppCtx<'_>, conn: ConnId, data: &[u8]) {
         let Some(st) = self.streams.get_mut(&conn) else { return };
-        if st.header.is_none() && st.buf.len() >= TaskStreamHeader::LEN {
-            match TaskStreamHeader::decode(&mut &st.buf[..]) {
+        let mut body = data;
+        if st.header.is_none() {
+            let take = (TaskStreamHeader::LEN - st.head.len()).min(body.len());
+            st.head.extend_from_slice(&body[..take]);
+            body = &body[take..];
+        }
+        st.body_bytes += body.len() as u64;
+        if st.header.is_none() && st.head.len() == TaskStreamHeader::LEN {
+            match TaskStreamHeader::decode(&mut &st.head[..]) {
                 Ok(h) => {
-                    st.buf.drain(..TaskStreamHeader::LEN);
                     st.header = Some(h);
                     self.receiving += 1;
                     self.report_load(ctx);
@@ -228,7 +243,7 @@ impl TaskExecutorApp {
         }
         let Some(st) = self.streams.get_mut(&conn) else { return };
         let Some(h) = st.header else { return };
-        if st.data_received_at.is_none() && st.buf.len() as u64 >= h.data_len {
+        if st.data_received_at.is_none() && st.body_bytes >= h.data_len {
             st.data_received_at = Some(ctx.now);
             let accepted_at = st.accepted_at;
             let seq = self.next_seq;
@@ -301,18 +316,16 @@ impl App for TaskExecutorApp {
                 self.streams.insert(
                     conn,
                     InboundStream {
-                        buf: Vec::new(),
+                        head: Vec::new(),
                         header: None,
+                        body_bytes: 0,
                         accepted_at: ctx.now,
                         data_received_at: None,
                     },
                 );
             }
             TcpEvent::Data { conn, data } => {
-                if let Some(st) = self.streams.get_mut(&conn) {
-                    st.buf.extend_from_slice(&data);
-                    self.try_consume(ctx, conn);
-                }
+                self.try_consume(ctx, conn, &data);
             }
             TcpEvent::Closed { conn } => {
                 // Completed submissions were already admitted in

@@ -287,12 +287,17 @@ fn bench_tcp_transfer(c: &mut Criterion) {
     struct Client {
         dst: Ipv4Addr,
         len: usize,
+        /// Half-close after the payload; without it neither side ever
+        /// closes the connection.
+        close: bool,
     }
     impl App for Client {
         fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
             let conn = ctx.tcp_connect(self.dst, 7100);
             ctx.tcp_send(conn, vec![0u8; self.len]);
-            ctx.tcp_close(conn);
+            if self.close {
+                ctx.tcp_close(conn);
+            }
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -322,22 +327,28 @@ fn bench_tcp_transfer(c: &mut Criterion) {
         }
     }
 
+    let run = |len: usize, close: bool, secs: u64| {
+        let (t, h1, h2) = line_topo();
+        let mut sim = Simulator::new(t, SimConfig::default());
+        sim.install_app(h1, Box::new(Client { dst: Topology::host_ip(h2), len, close }));
+        let srv = sim.install_app(h2, Box::new(Server::default()));
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(secs));
+        let got = sim.app::<Server>(h2, srv).unwrap().bytes;
+        assert_eq!(got, len);
+        got
+    };
+
     let mut g = c.benchmark_group("tcp_transfer");
     g.sample_size(10);
     let len = 1_000_000usize;
     g.throughput(Throughput::Bytes(len as u64));
-    g.bench_function("1MB_through_switch", |b| {
-        b.iter(|| {
-            let (t, h1, h2) = line_topo();
-            let mut sim = Simulator::new(t, SimConfig::default());
-            sim.install_app(h1, Box::new(Client { dst: Topology::host_ip(h2), len }));
-            let srv = sim.install_app(h2, Box::new(Server::default()));
-            sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-            let got = sim.app::<Server>(h2, srv).unwrap().bytes;
-            assert_eq!(got, len);
-            black_box(got)
-        })
-    });
+    g.bench_function("1MB_through_switch", |b| b.iter(|| black_box(run(len, true, 30))));
+    // A task-sized bulk transfer on a connection neither side closes: the
+    // sender must drop the bytes as they are acknowledged, not hold the
+    // whole stream for the connection's lifetime.
+    let len = 6_000_000usize;
+    g.throughput(Throughput::Bytes(len as u64));
+    g.bench_function("6MB_peer_stays_open", |b| b.iter(|| black_box(run(len, false, 30))));
     g.finish();
 }
 

@@ -12,10 +12,12 @@
 //!   metadata. Doing this pre-queue excludes this switch's queuing delay
 //!   from the link measurement.
 //! * *egress* (head of queue, about to serialize): harvest-and-reset the
-//!   `max_qlen` register of the egress port, append an [`IntRecord`] with
-//!   the harvested value, the measured upstream link latency, and this
-//!   switch's egress timestamp, then re-deparse the packet (lengths and
-//!   checksums updated).
+//!   `max_qlen` register of the egress port and append an [`IntRecord`]
+//!   with the harvested value, the measured upstream link latency, and
+//!   this switch's egress timestamp. The record is written onto the end of
+//!   the frame's own buffer and only the fields a deparser would recompute
+//!   are patched (stack count, UDP and IP lengths, IP checksum) — the
+//!   same bytes a full decode/re-encode produces, without either.
 
 use crate::frame::Frame;
 use crate::pipeline::{
@@ -30,7 +32,7 @@ use int_packet::int::IntRecord;
 use int_packet::ipv4::Ipv4Header;
 use int_packet::udp::UdpHeader;
 use int_packet::wire::{internet_checksum, WireEncode};
-use int_packet::EthernetHeader;
+use int_packet::ProbePayload;
 use std::net::Ipv4Addr;
 
 /// Configuration for the INT program.
@@ -50,6 +52,10 @@ pub struct IntTelemetryProgram {
     cfg: IntProgramConfig,
     l3: L3ForwardProgram,
     registers: RegisterFile,
+    /// Indices of the three register arrays, resolved once.
+    reg_max_qlen: usize,
+    reg_probe_count: usize,
+    reg_enq_count: usize,
     /// Buffer harvest/reset trace events for the simulator to drain.
     tracing: bool,
     trace_buf: Vec<TraceEvent>,
@@ -69,9 +75,13 @@ impl IntTelemetryProgram {
         registers.declare(Self::REG_MAX_QLEN, cfg.num_ports);
         registers.declare(Self::REG_PROBE_COUNT, cfg.num_ports);
         registers.declare(Self::REG_ENQ_COUNT, cfg.num_ports);
+        let index = |name| registers.index_of(name).expect("just declared");
         IntTelemetryProgram {
             cfg,
             l3: L3ForwardProgram::new(cfg.num_ports),
+            reg_max_qlen: index(Self::REG_MAX_QLEN),
+            reg_probe_count: index(Self::REG_PROBE_COUNT),
+            reg_enq_count: index(Self::REG_ENQ_COUNT),
             registers,
             tracing: false,
             trace_buf: Vec::new(),
@@ -120,13 +130,25 @@ impl IntTelemetryProgram {
         self.cfg.switch_id
     }
 
-    /// Append an INT record to a probe frame and re-deparse it in place.
+    /// Append an INT record to a frame `is_int_probe` accepted, in place. A
+    /// frame whose payload does not decode as a probe is left alone,
+    /// registers included.
     fn augment_probe(&mut self, frame: &mut Frame, ctx: &EgressCtx) {
         let Ok(parsed) = frame.parsed() else { return };
-        let Ok(mut probe) = parsed.probe_payload(&frame.bytes) else { return };
+        let payload_at = parsed.payload_offset;
+        let Some(hops) = ProbePayload::peek_hop_count(&frame.bytes[payload_at..]) else { return };
+        let record = self.harvest(frame, ctx);
+        append_record(&mut frame.bytes, payload_at, hops, &record);
+        // The frame grew by one INT record; drop the memoized parse so the
+        // next stage re-reads the rewritten headers.
+        frame.invalidate_parse();
+    }
 
-        let max_qlen =
-            self.registers.array_mut(Self::REG_MAX_QLEN).take(ctx.egress_port as usize);
+    /// Harvest-and-reset the egress port's `max_qlen` register, count the
+    /// probe, and build this hop's record.
+    fn harvest(&mut self, frame: &Frame, ctx: &EgressCtx) -> IntRecord {
+        let port = ctx.egress_port as usize;
+        let max_qlen = self.registers.at_mut(self.reg_max_qlen).take(port);
         if self.tracing {
             // One event for the harvested sample, one for the
             // read-and-reset side effect the harvest performs.
@@ -147,8 +169,8 @@ impl IntTelemetryProgram {
                 },
             });
         }
-
-        probe.int.push(IntRecord {
+        self.registers.at_mut(self.reg_probe_count).increment(port);
+        IntRecord {
             switch_id: self.cfg.switch_id,
             ingress_port: frame.meta.ingress_port.unwrap_or(u16::MAX),
             egress_port: ctx.egress_port,
@@ -156,49 +178,40 @@ impl IntTelemetryProgram {
             qlen_at_probe_pkts: ctx.qdepth_at_deq_pkts,
             link_latency_ns: frame.meta.measured_link_latency_ns.unwrap_or(0),
             egress_ts_ns: ctx.now_ns,
-        });
-
-        let cnt = self.registers.array(Self::REG_PROBE_COUNT).read(ctx.egress_port as usize);
-        self.registers
-            .array_mut(Self::REG_PROBE_COUNT)
-            .write(ctx.egress_port as usize, cnt + 1);
-
-        // Re-deparse: same Ethernet + IP addressing/TTL/id, new payload.
-        let (Some(ip), Some(udp)) = (parsed.ip, parsed.udp()) else { return };
-        let payload = probe.to_bytes();
-        frame.bytes = redeparse_udp(&parsed.eth, &ip, &udp, &payload);
-        // The frame grew by one INT record; drop the memoized parse so the
-        // next stage re-reads the rewritten headers.
-        frame.invalidate_parse();
+        }
     }
 }
 
-/// Rebuild `eth/ip/udp/payload` preserving addressing, TTL, and IP id while
-/// recomputing all length and checksum fields — what a P4 deparser does
-/// after headers or payload were modified.
-fn redeparse_udp(
-    eth: &EthernetHeader,
-    ip: &Ipv4Header,
-    udp: &UdpHeader,
-    payload: &[u8],
-) -> BytesMut {
-    let udp_new = UdpHeader::new(udp.src_port, udp.dst_port, payload.len());
-    let mut ip_new = *ip;
-    ip_new.total_len = (Ipv4Header::LEN + UdpHeader::LEN + payload.len()) as u16;
+/// Append `record` to the INT stack of the probe frame in `bytes`, whose
+/// UDP payload starts at `payload_at` and holds `hops` records, and patch
+/// what a P4 deparser recomputes: the stack count, the UDP length (and a
+/// zero UDP checksum), the IP total length and checksum. The rest is
+/// rewritten to the canonical encoding a decode/re-encode round trip
+/// produces — bytes past the stack are dropped, the shim's flags and
+/// reserved bytes and the IP flags/fragment field are reset — so the frame
+/// comes out byte-identical to one rebuilt from its decoded headers.
+fn append_record(bytes: &mut BytesMut, payload_at: usize, hops: usize, record: &IntRecord) {
+    let stack = payload_at + ProbePayload::STACK_OFFSET;
+    bytes.truncate(stack + 2 + hops * IntRecord::LEN);
+    record.encode(bytes);
+    bytes[stack..stack + 2].copy_from_slice(&((hops + 1) as u16).to_be_bytes());
+    bytes[payload_at + 3] = 0; // shim flags
+    bytes[payload_at + 7] = 0; // shim reserved
 
-    let mut buf = BytesMut::with_capacity(
-        EthernetHeader::LEN + Ipv4Header::LEN + UdpHeader::LEN + payload.len(),
-    );
-    eth.encode(&mut buf);
-    ip_new.encode(&mut buf);
-    udp_new.encode(&mut buf);
-    buf.extend_from_slice(payload);
-    debug_assert_eq!(
-        internet_checksum(&buf[EthernetHeader::LEN..EthernetHeader::LEN + Ipv4Header::LEN]),
-        0,
-        "re-deparsed IP checksum must verify"
-    );
-    buf
+    let payload_len = bytes.len() - payload_at;
+    let udp = payload_at - UdpHeader::LEN;
+    let udp_len = (UdpHeader::LEN + payload_len) as u16;
+    bytes[udp + 4..udp + 6].copy_from_slice(&udp_len.to_be_bytes());
+    bytes[udp + 6..udp + 8].fill(0);
+
+    let ip = udp - Ipv4Header::LEN;
+    let total_len = (Ipv4Header::LEN + UdpHeader::LEN + payload_len) as u16;
+    bytes[ip + 2..ip + 4].copy_from_slice(&total_len.to_be_bytes());
+    bytes[ip + 6] = 0x40; // DF, fragment offset 0
+    bytes[ip + 7] = 0;
+    bytes[ip + 10..ip + 12].fill(0);
+    let checksum = internet_checksum(&bytes[ip..ip + Ipv4Header::LEN]);
+    bytes[ip + 10..ip + 12].copy_from_slice(&checksum.to_be_bytes());
 }
 
 impl DataPlaneProgram for IntTelemetryProgram {
@@ -214,8 +227,8 @@ impl DataPlaneProgram for IntTelemetryProgram {
 
         // Probe packets: measure upstream link latency *before* queuing.
         if self.cfg.int_enabled && parsed.is_int_probe(&frame.bytes) {
-            if let Ok(probe) = parsed.probe_payload(&frame.bytes) {
-                let upstream = probe.upstream_egress_ts_ns();
+            let payload = parsed.payload(&frame.bytes);
+            if let Some(upstream) = ProbePayload::peek_upstream_egress_ts_ns(payload) {
                 frame.meta.measured_link_latency_ns = Some(ctx.now_ns.saturating_sub(upstream));
             }
         }
@@ -244,11 +257,8 @@ impl DataPlaneProgram for IntTelemetryProgram {
             return;
         }
         let idx = ctx.port as usize;
-        self.registers
-            .array_mut(Self::REG_MAX_QLEN)
-            .write_max(idx, ctx.qdepth_after_pkts as u64);
-        let cnt = self.registers.array(Self::REG_ENQ_COUNT).read(idx);
-        self.registers.array_mut(Self::REG_ENQ_COUNT).write(idx, cnt + 1);
+        self.registers.at_mut(self.reg_max_qlen).write_max(idx, ctx.qdepth_after_pkts as u64);
+        self.registers.at_mut(self.reg_enq_count).increment(idx);
     }
 
     fn egress(&mut self, frame: &mut Frame, ctx: &EgressCtx) {
@@ -291,7 +301,189 @@ impl DataPlaneProgram for IntTelemetryProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use int_packet::{PacketBuilder, ParsedPacket, ProbePayload, PROBE_UDP_PORT};
+    use int_packet::int::IntStack;
+    use int_packet::{EthernetHeader, PacketBuilder, ParsedPacket, PROBE_UDP_PORT};
+    use proptest::prelude::*;
+
+    /// The decode/re-encode path the in-place append replaced, kept as the
+    /// byte-level reference: decode the probe, push the record, re-deparse
+    /// every header from its decoded form.
+    impl IntTelemetryProgram {
+        fn egress_reference(&mut self, frame: &mut Frame, ctx: &EgressCtx) {
+            let is_probe = match frame.parsed() {
+                Ok(p) => p.is_int_probe(&frame.bytes),
+                Err(_) => false,
+            };
+            if !is_probe {
+                return;
+            }
+            let Ok(parsed) = frame.parsed() else { return };
+            let Ok(mut probe) = parsed.probe_payload(&frame.bytes) else { return };
+            let record = self.harvest(frame, ctx);
+            // `records.push`, not `IntStack::push`: a release build appended
+            // past `MAX_HOPS` the same way.
+            probe.int.records.push(record);
+            let (Some(ip), Some(udp)) = (parsed.ip, parsed.udp()) else { return };
+            frame.bytes = redeparse_udp(&parsed.eth, &ip, &udp, &probe.to_bytes());
+            frame.invalidate_parse();
+        }
+    }
+
+    /// Rebuild `eth/ip/udp/payload` preserving addressing, TTL, and IP id
+    /// while recomputing all length and checksum fields.
+    fn redeparse_udp(
+        eth: &EthernetHeader,
+        ip: &Ipv4Header,
+        udp: &UdpHeader,
+        payload: &[u8],
+    ) -> BytesMut {
+        let udp_new = UdpHeader::new(udp.src_port, udp.dst_port, payload.len());
+        let mut ip_new = *ip;
+        ip_new.total_len = (Ipv4Header::LEN + UdpHeader::LEN + payload.len()) as u16;
+        let mut buf = BytesMut::new();
+        eth.encode(&mut buf);
+        ip_new.encode(&mut buf);
+        udp_new.encode(&mut buf);
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    /// Overwrite the UDP and IP lengths for a UDP payload of `payload_len`
+    /// bytes and re-seal the IP checksum (the frame is otherwise as built).
+    fn set_lengths(bytes: &mut [u8], payload_len: usize) {
+        let ip = EthernetHeader::LEN;
+        let udp = ip + Ipv4Header::LEN;
+        let udp_len = (UdpHeader::LEN + payload_len) as u16;
+        bytes[udp + 4..udp + 6].copy_from_slice(&udp_len.to_be_bytes());
+        let total = (Ipv4Header::LEN + UdpHeader::LEN + payload_len) as u16;
+        bytes[ip + 2..ip + 4].copy_from_slice(&total.to_be_bytes());
+        bytes[ip + 10..ip + 12].fill(0);
+        let ck = internet_checksum(&bytes[ip..ip + Ipv4Header::LEN]);
+        bytes[ip + 10..ip + 12].copy_from_slice(&ck.to_be_bytes());
+    }
+
+    proptest! {
+        /// The in-place append and the ingress timestamp read give exactly
+        /// what decoding and re-encoding gave, on canonical and
+        /// non-canonical probes alike: stray shim flag/reserved bytes, a
+        /// nonzero UDP checksum, bytes after the stack (inside the UDP
+        /// payload or past the IP datagram), stacks whose count claims
+        /// more records than are present or more than `MAX_HOPS`, and full
+        /// stacks of exactly `MAX_HOPS` records.
+        #[test]
+        fn in_place_append_matches_the_reference_deparser(
+            pick in 0usize..6,
+            any_hops in 0usize..=IntStack::MAX_HOPS,
+            shim_bytes in any::<[u8; 2]>(),
+            udp_checksum in any::<u16>(),
+            trailing in proptest::collection::vec(any::<u8>(), 0..40),
+            trailing_in_udp in any::<bool>(),
+            damage in 0u8..4,
+            fill in any::<u64>(),
+            ctx_bits in (any::<u32>(), any::<u64>(), any::<u16>()),
+        ) {
+            let hops = match pick {
+                0 => 0,
+                1 => 1,
+                2 => IntStack::MAX_HOPS - 1,
+                3 => IntStack::MAX_HOPS,
+                _ => any_hops,
+            };
+            let mut probe = ProbePayload::new(3, fill >> 8, fill >> 20);
+            for h in 0..hops as u64 {
+                let v = fill.rotate_left(h as u32) ^ h;
+                probe.int.records.push(IntRecord {
+                    switch_id: v as u32,
+                    ingress_port: (v >> 32) as u16,
+                    egress_port: (v >> 48) as u16,
+                    max_qlen_pkts: (v >> 8) as u32,
+                    qlen_at_probe_pkts: (v >> 16) as u32,
+                    link_latency_ns: v,
+                    egress_ts_ns: v.wrapping_mul(7),
+                });
+            }
+            let mut bytes = PacketBuilder::between(
+                3,
+                Ipv4Addr::new(10, 0, 0, 1),
+                6,
+                Ipv4Addr::new(10, 0, 0, 6),
+            )
+            .udp_msg(40000, PROBE_UDP_PORT, &probe);
+            let at = EthernetHeader::LEN + Ipv4Header::LEN + UdpHeader::LEN;
+            bytes[at + 3] = shim_bytes[0];
+            bytes[at + 7] = shim_bytes[1];
+            let udp = at - UdpHeader::LEN;
+            bytes[udp + 6..udp + 8].copy_from_slice(&udp_checksum.to_be_bytes());
+            let count_at = at + ProbePayload::STACK_OFFSET;
+            let claimed = match damage {
+                1 => hops as u16 + 1 + (fill % 3) as u16, // truncated stack
+                2 => IntStack::MAX_HOPS as u16 + 1 + (fill % 100) as u16,
+                _ => hops as u16,
+            };
+            bytes[count_at..count_at + 2].copy_from_slice(&claimed.to_be_bytes());
+            if damage == 3 {
+                // Cut the last record short; the lengths still agree.
+                let cut = bytes.len() - 1 - (fill % 31) as usize;
+                bytes.truncate(cut.max(count_at + 2));
+            }
+            bytes.extend_from_slice(&trailing);
+            let payload_len = if trailing_in_udp || damage == 3 {
+                bytes.len() - at
+            } else {
+                bytes.len() - at - trailing.len()
+            };
+            set_lengths(&mut bytes, payload_len);
+
+            let (switch, now, port) = ctx_bits;
+            let port = port % 4;
+            let ictx = IngressCtx { now_ns: now, switch_id: switch, ingress_port: 1 };
+            let ectx = EgressCtx {
+                now_ns: now.wrapping_add(1_000),
+                switch_id: switch,
+                egress_port: port,
+                qdepth_at_deq_pkts: switch % 9,
+            };
+            let mut fast = program(true);
+            let mut reference = program(true);
+            fast.set_tracing(true);
+            reference.set_tracing(true);
+            let mut f_fast = Frame::new(bytes.clone());
+            let mut f_ref = Frame::new(bytes);
+            for (p, f) in [(&mut fast, &mut f_fast), (&mut reference, &mut f_ref)] {
+                p.on_enqueue(f, &EnqueueCtx { now_ns: now, port, qdepth_after_pkts: switch % 13 });
+            }
+
+            // Ingress reads the upstream timestamp in place.
+            let upstream = ParsedPacket::parse(&f_ref.bytes)
+                .ok()
+                .filter(|p| p.is_int_probe(&f_ref.bytes))
+                .and_then(|p| p.probe_payload(&f_ref.bytes).ok())
+                .map(|p| now.saturating_sub(p.upstream_egress_ts_ns()));
+            for (p, f) in [(&mut fast, &mut f_fast), (&mut reference, &mut f_ref)] {
+                p.ingress(f, &ictx);
+                prop_assert_eq!(f.meta.measured_link_latency_ns, upstream);
+            }
+
+            fast.egress(&mut f_fast, &ectx);
+            reference.egress_reference(&mut f_ref, &ectx);
+            let first_diff = f_fast.bytes.iter().zip(f_ref.bytes.iter()).position(|(a, b)| a != b);
+            prop_assert!(
+                f_fast.bytes == f_ref.bytes,
+                "frames differ (lengths {} vs {}, first differing byte {first_diff:?}, \
+                 hops {hops}, damage {damage}, trailing {})",
+                f_fast.bytes.len(),
+                f_ref.bytes.len(),
+                trailing.len()
+            );
+            for name in fast.registers().names() {
+                prop_assert_eq!(fast.registers().array(name), reference.registers().array(name));
+            }
+            let (mut t_fast, mut t_ref) = (Vec::new(), Vec::new());
+            fast.drain_trace(&mut t_fast);
+            reference.drain_trace(&mut t_ref);
+            prop_assert_eq!(t_fast, t_ref);
+        }
+    }
 
     fn probe_frame(origin: u32, sent_ts: u64) -> Frame {
         let probe = ProbePayload::new(origin, 1, sent_ts);

@@ -71,10 +71,15 @@ impl RegisterArray {
 }
 
 /// All register arrays a program declared, addressed by name — the
-/// control-plane view (`register_read`/`register_write` in BMv2's CLI).
+/// control-plane view (`register_read`/`register_write` in BMv2's CLI). A
+/// program resolves its own arrays to indices once ([`RegisterFile::index_of`])
+/// and reaches them with [`RegisterFile::at_mut`] on the per-packet path.
 #[derive(Debug, Clone, Default)]
 pub struct RegisterFile {
-    arrays: BTreeMap<&'static str, RegisterArray>,
+    /// Arrays in declaration order, so an index never moves.
+    arrays: Vec<RegisterArray>,
+    /// Name → index into `arrays`.
+    index: BTreeMap<&'static str, usize>,
 }
 
 impl RegisterFile {
@@ -86,27 +91,45 @@ impl RegisterFile {
     /// Declare a register array. Redeclaring an existing name resizes and
     /// zeroes it (mirrors reloading a P4 program).
     pub fn declare(&mut self, name: &'static str, size: usize) {
-        self.arrays.insert(name, RegisterArray::new(size));
+        match self.index.get(name) {
+            Some(&i) => self.arrays[i] = RegisterArray::new(size),
+            None => {
+                self.index.insert(name, self.arrays.len());
+                self.arrays.push(RegisterArray::new(size));
+            }
+        }
+    }
+
+    /// Index of a declared array, stable for the file's lifetime
+    /// (redeclaring keeps it).
+    pub fn index_of(&self, name: &'static str) -> Option<usize> {
+        self.index.get(name).copied()
     }
 
     /// Access an array; panics on undeclared names — using an undeclared
     /// register is a program bug, exactly like an undeclared extern in P4.
     pub fn array(&self, name: &'static str) -> &RegisterArray {
-        self.arrays
-            .get(name)
-            .unwrap_or_else(|| panic!("register array `{name}` not declared"))
+        &self.arrays[self.resolve(name)]
     }
 
     /// Mutable access to an array; panics on undeclared names.
     pub fn array_mut(&mut self, name: &'static str) -> &mut RegisterArray {
-        self.arrays
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("register array `{name}` not declared"))
+        let i = self.resolve(name);
+        &mut self.arrays[i]
+    }
+
+    /// Mutable access by [`RegisterFile::index_of`] index.
+    pub fn at_mut(&mut self, index: usize) -> &mut RegisterArray {
+        &mut self.arrays[index]
     }
 
     /// Names of all declared arrays (sorted — BTreeMap order).
     pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.arrays.keys().copied()
+        self.index.keys().copied()
+    }
+
+    fn resolve(&self, name: &'static str) -> usize {
+        self.index_of(name).unwrap_or_else(|| panic!("register array `{name}` not declared"))
     }
 }
 
@@ -170,6 +193,22 @@ mod tests {
         rf.declare("r", 4);
         assert_eq!(rf.array("r").read(0), 0);
         assert_eq!(rf.array("r").len(), 4);
+    }
+
+    #[test]
+    fn indices_are_stable_and_alias_names() {
+        let mut rf = RegisterFile::new();
+        rf.declare("zeta", 2);
+        rf.declare("alpha", 2);
+        let z = rf.index_of("zeta").unwrap();
+        rf.at_mut(z).write(1, 5);
+        assert_eq!(rf.array("zeta").read(1), 5, "index and name reach one array");
+        rf.declare("beta", 1);
+        rf.declare("zeta", 3);
+        assert_eq!(rf.index_of("zeta"), Some(z), "new and redeclared names keep indices");
+        assert_eq!(rf.at_mut(z).len(), 3);
+        assert_eq!(rf.index_of("nope"), None);
+        assert_eq!(rf.names().collect::<Vec<_>>(), vec!["alpha", "beta", "zeta"]);
     }
 
     #[test]

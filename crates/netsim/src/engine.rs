@@ -21,7 +21,7 @@ use crate::pool::{BufPool, PoolStats};
 use crate::queue::{DropTailQueue, QueueStats};
 use crate::routing::{ClosNodeKind, ClosRoutes, RouteTable, Routes};
 use crate::stats::NetStats;
-use crate::tcp::{TcpConfig, TcpHost};
+use crate::tcp::{SegmentOut, TcpConfig, TcpHost, TcpOutbox};
 use crate::trace::{TrafficAccountant, TrafficClass};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, NodeKind, PortId, Topology};
@@ -30,7 +30,7 @@ use int_dataplane::{
     IntProgramConfig, IntTelemetryProgram,
 };
 use int_obs::{DropReason, Histogram, Labels, MetricsRegistry, TraceEvent, TraceKind, TraceRing};
-use int_packet::{L4View, PacketBuilder, TcpHeader};
+use int_packet::{L4View, PacketBuilder};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -261,6 +261,9 @@ pub struct Simulator {
     /// Scratch op buffers for app callbacks. A stack (not a single buffer)
     /// because callbacks re-enter: `invoke_app` → `flush_tcp` → `invoke_app`.
     ops_free: Vec<Vec<AppOp>>,
+    /// Spare TCP outboxes swapped with a host's on every flush; a stack for
+    /// the same re-entrancy reason.
+    tcp_free: Vec<TcpOutbox>,
     /// Whether the engine records its metric series (off by default:
     /// every record site is then one branch; see DESIGN.md §5.3).
     metrics_on: bool,
@@ -281,6 +284,10 @@ pub struct Simulator {
     host_uplinks: Vec<HostRouteTable>,
     /// `Some` only when this simulator is one domain of a partitioned run.
     domain: Option<DomainCtx>,
+    /// FNV-1a over every arrival's `(time, node, port, bytes)`: the wire
+    /// digest the transport tests pin.
+    #[cfg(test)]
+    wire_digest: u64,
 }
 
 /// A host's build-time route state: one equal-cost port group per
@@ -477,12 +484,15 @@ impl Simulator {
             pool: BufPool::new(),
             faults: None,
             ops_free: Vec::new(),
+            tcp_free: Vec::new(),
             metrics_on: false,
             series: EngineSeries::default(),
             trace: TraceRing::default(),
             trace_scratch: Vec::new(),
             host_uplinks,
             domain,
+            #[cfg(test)]
+            wire_digest: 0xcbf2_9ce4_8422_2325,
         }
     }
 
@@ -805,6 +815,14 @@ impl Simulator {
     }
 
     fn handle_arrive(&mut self, node: NodeId, port: PortId, mut frame: Box<Frame>) {
+        #[cfg(test)]
+        {
+            let at = (((node.0 as u64) << 16) | port as u64).to_be_bytes();
+            let head = [self.now.as_nanos().to_be_bytes(), at];
+            for &b in head.iter().flatten().chain(frame.bytes.iter()) {
+                self.wire_digest = (self.wire_digest ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
         if let Some(f) = &self.faults {
             // The frame was in flight when the cable was pulled, or it
             // reaches a switch that died while it propagated.
@@ -1169,7 +1187,7 @@ impl Simulator {
                 }
                 AppOp::TcpSend { conn, data } => {
                     if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
-                        h.tcp.send(conn, &data, now);
+                        h.tcp.send(conn, data, now);
                     }
                 }
                 AppOp::TcpClose { conn } => {
@@ -1276,27 +1294,27 @@ impl Simulator {
             .unwrap_or(&[])
     }
 
-    /// Drain the TCP outboxes of a host until quiescent.
+    /// Drain the TCP outbox of a host until quiescent.
     fn flush_tcp(&mut self, node: NodeId) {
-        loop {
-            let (segments, timers, tcp_events) = {
-                let NodeState::Host(h) = &mut self.nodes[node.0 as usize] else { return };
-                (h.tcp.take_segments(), h.tcp.take_timer_requests(), h.tcp.take_events())
-            };
-            if segments.is_empty() && timers.is_empty() && tcp_events.is_empty() {
-                return;
+        let mut out = self.tcp_free.pop().unwrap_or_default();
+        while let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
+            h.tcp.swap_outbox(&mut out);
+            if out.is_empty() {
+                break;
             }
 
-            for seg in segments {
-                self.send_tcp_segment(node, seg.dst_ip, seg.header, &seg.payload);
+            // Segments go out before any app sees an event, so no ACK can
+            // release the bytes they name in between.
+            for seg in out.segments.drain(..) {
+                self.send_tcp_segment(node, &seg);
             }
-            for t in timers {
+            for t in out.timers.drain(..) {
                 self.events.push(
                     t.deadline,
                     Event::TcpTimer { node, conn: t.conn, generation: t.generation },
                 );
             }
-            for ev in tcp_events {
+            for ev in out.events.drain(..) {
                 let conn = match &ev {
                     crate::tcp::TcpEvent::Connected { conn }
                     | crate::tcp::TcpEvent::Data { conn, .. }
@@ -1325,25 +1343,20 @@ impl Simulator {
                 }
             }
         }
+        self.tcp_free.push(out);
     }
 
-    fn send_tcp_segment(
-        &mut self,
-        node: NodeId,
-        dst: Ipv4Addr,
-        header: TcpHeader,
-        payload: &[u8],
-    ) {
-        let src_ip = match &self.nodes[node.0 as usize] {
-            NodeState::Host(h) => h.ip,
-            _ => unreachable!(),
-        };
+    /// Encode one segment into a pooled frame, its payload read straight
+    /// from the connection's send buffer, and queue it on the uplink.
+    fn send_tcp_segment(&mut self, node: NodeId, seg: &SegmentOut) {
+        let NodeState::Host(h) = &self.nodes[node.0 as usize] else { unreachable!() };
+        let dst = seg.dst_ip;
         let dst_node = Topology::node_of_ip(dst).unwrap_or(NodeId(u32::MAX));
-        let mut builder = PacketBuilder::between(node.0, src_ip, dst_node.0, dst);
+        let mut builder = PacketBuilder::between(node.0, h.ip, dst_node.0, dst);
         builder.ip_id = (self.next_trace_id & 0xFFFF) as u16;
-        let (sport, dport) = (header.src_port, header.dst_port);
+        let (sport, dport) = (seg.header.src_port, seg.header.dst_port);
         let mut frame = self.pool.take();
-        builder.tcp_into(header, payload, &mut frame.bytes);
+        builder.tcp_into(seg.header, h.tcp.payload(seg), &mut frame.bytes);
         frame.meta.trace_id = self.next_trace_id;
         self.next_trace_id += 1;
         let uplink = self.host_uplink(node, dst, 6, sport, dport);
@@ -1566,6 +1579,42 @@ mod tests {
         let srv = sim.app::<TcpServer>(h2, server).unwrap();
         assert_eq!(srv.bytes, 2 * len, "both streams delivered in full");
         assert!(sim.stats().drops_queue_full > 0, "bottleneck actually congested");
+        assert_eq!(
+            sim.wire_digest, CONGESTED_WIRE_DIGEST,
+            "a frame's bytes or arrival time moved"
+        );
+    }
+
+    /// Wire digests of the two pinned transfers, recorded before the send
+    /// buffer learned to drop acknowledged bytes: the transport must put
+    /// the same bytes on the wire at the same times.
+    const CONGESTED_WIRE_DIGEST: u64 = 0x05152c2fb13b0a8b;
+    const LOSSY_WIRE_DIGEST: u64 = 0xb08f6884ec5c5251;
+
+    #[test]
+    fn lossy_transfer_with_a_cable_pull_recovers_byte_identically() {
+        // 2 MB over a lossy access link that is also pulled for a second at
+        // 3 s: fast retransmits, then RTOs and go-back-N from `snd_una`.
+        // By the pull over half the stream is acknowledged, so the sender
+        // retransmits from a buffer whose head was already dropped.
+        let (t, h1, s1, h2) = line_topo();
+        let mut sim = Simulator::new(t, cfg());
+        let plan = FaultPlan::new()
+            .link_loss(h1, s1, 0.02)
+            .link_down(h1, s1, SimTime::ZERO + SimDuration::from_millis(3000))
+            .link_up(h1, s1, SimTime::ZERO + SimDuration::from_millis(4000));
+        sim.install_fault_plan(&plan);
+        let len = 2_000_000;
+        let dst = Topology::host_ip(h2);
+        let client = sim.install_app(h1, Box::new(TcpClient { dst, len, done_at: None }));
+        let server = sim.install_app(h2, Box::new(TcpServer::default()));
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
+
+        assert_eq!(sim.app::<TcpServer>(h2, server).unwrap().bytes, len, "stream intact");
+        assert!(sim.app::<TcpClient>(h1, client).unwrap().done_at.is_some(), "FIN acked");
+        let st = sim.stats();
+        assert!(st.drops_link_loss > 0 && st.drops_link_down > 0, "both faults bit: {st:?}");
+        assert_eq!(sim.wire_digest, LOSSY_WIRE_DIGEST, "a frame's bytes or arrival time moved");
     }
 
     #[test]

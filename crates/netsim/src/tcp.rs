@@ -14,14 +14,22 @@
 //!
 //! The implementation is a pure state machine: it never touches the event
 //! queue or the network directly. Callers invoke the `on_*`/verb methods
-//! and then drain three outboxes — [`TcpHost::take_segments`] (segments to
-//! put on the wire), [`TcpHost::take_timer_requests`] (RTO timers to arm),
-//! and [`TcpHost::take_events`] (events to deliver to applications). This
-//! makes the whole transport unit-testable with a two-line fake network.
+//! and then swap out its [`TcpOutbox`] with [`TcpHost::swap_outbox`]:
+//! segments to put on the wire, RTO timers to arm, and events to deliver to
+//! applications. This makes the whole transport unit-testable with a
+//! two-line fake network.
 //!
 //! Stream offsets are tracked as `u64` byte offsets and mapped to 32-bit
 //! wire sequence numbers at the edge; transfers in this system are far
 //! below 4 GiB so no wrap handling is required (asserted).
+//!
+//! **Send buffers hold only unacknowledged bytes.** A connection's buffer
+//! starts at stream offset `snd_base`; acknowledged bytes are dropped from
+//! its front as ACKs arrive (see [`Conn::release_acked`]) and the whole
+//! buffer is freed once every queued byte is acknowledged. A
+//! [`SegmentOut`] names its payload as a stream range rather than carrying
+//! a copy; [`TcpHost::payload`] resolves it against the buffer, so the
+//! engine encodes segment bytes straight from the buffer into a frame.
 
 use crate::event::ConnId;
 use crate::time::{SimDuration, SimTime};
@@ -96,15 +104,47 @@ pub enum TcpEvent {
     },
 }
 
-/// A segment handed to the network layer for transmission.
-#[derive(Debug, Clone)]
+/// A segment handed to the network layer for transmission. Its payload is
+/// the stream range `offset .. offset + len` of the connection's send
+/// buffer: resolve it with [`TcpHost::payload`] before the host processes
+/// another segment (an ACK may release the bytes).
+#[derive(Debug, Clone, Copy)]
 pub struct SegmentOut {
+    /// Connection the segment belongs to.
+    pub conn: ConnId,
     /// Destination host.
     pub dst_ip: Ipv4Addr,
     /// Fully formed TCP header.
     pub header: TcpHeader,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
+    /// Stream offset of the first payload byte.
+    pub offset: u64,
+    /// Payload length in bytes (0 for pure control segments).
+    pub len: u32,
+}
+
+/// What a [`TcpHost`] produced since its outbox was last swapped out.
+#[derive(Debug, Default)]
+pub struct TcpOutbox {
+    /// Segments to transmit, in order.
+    pub segments: Vec<SegmentOut>,
+    /// Timer (re)arm requests.
+    pub timers: Vec<TimerRequest>,
+    /// Events for the owning applications.
+    pub events: Vec<TcpEvent>,
+}
+
+impl SegmentOut {
+    /// A segment without payload (SYN, ACK, FIN).
+    fn control(conn: ConnId, dst_ip: Ipv4Addr, header: TcpHeader) -> SegmentOut {
+        SegmentOut { conn, dst_ip, header, offset: 0, len: 0 }
+    }
+}
+
+impl TcpOutbox {
+    /// True when nothing is pending.
+    pub fn is_empty(&self) -> bool {
+        self.segments.is_empty() && self.timers.is_empty() && self.events.is_empty()
+    }
 }
 
 /// A request to (re)arm a connection's retransmission timer.
@@ -130,6 +170,13 @@ enum State {
 }
 
 const CONNECT_MAX_RETRIES: u32 = 8;
+
+/// Acknowledged bytes a send buffer may keep at its front before they are
+/// dropped. Dropping moves the unacknowledged tail to the front, so it
+/// waits until the acknowledged prefix is at least as long as the tail: the
+/// bytes moved never exceed the bytes acknowledged (amortized O(1) per
+/// byte).
+const COMPACT_MIN: usize = 64 * 1024;
 
 /// Implicit window scale (RFC 7323 with a fixed shift both ends agree on):
 /// the 16-bit wire window field is in units of 64 bytes, allowing windows
@@ -157,7 +204,10 @@ struct Conn {
     // ---- send side ----
     /// Initial send sequence number (wire); SYN consumes `iss`.
     iss: u32,
-    /// All bytes ever queued for sending.
+    /// Stream offset of `snd_buf[0]`: every byte before it is acknowledged.
+    snd_base: u64,
+    /// Queued bytes from `snd_base` on (unacknowledged, plus an
+    /// acknowledged prefix shorter than [`COMPACT_MIN`] or the tail).
     snd_buf: Vec<u8>,
     /// First unacknowledged stream offset.
     snd_una: u64,
@@ -213,6 +263,32 @@ impl Conn {
         self.snd_nxt - self.snd_una
     }
 
+    /// Stream offset one past the last queued byte (where the FIN sits).
+    fn snd_end(&self) -> u64 {
+        self.snd_base + self.snd_buf.len() as u64
+    }
+
+    /// Queued bytes `offset .. offset + len`.
+    fn snd_bytes(&self, offset: u64, len: u32) -> &[u8] {
+        let start = (offset - self.snd_base) as usize;
+        &self.snd_buf[start..start + len as usize]
+    }
+
+    /// Drop acknowledged bytes below `upto` (`≤ snd_una`) from the front of
+    /// the send buffer: all of it once everything queued is acknowledged,
+    /// otherwise only a prefix long enough to pay for moving the tail.
+    fn release_acked(&mut self, upto: u64) {
+        let acked = (upto.min(self.snd_end()) - self.snd_base) as usize;
+        if acked == self.snd_buf.len() {
+            self.snd_base += acked as u64;
+            self.snd_buf = Vec::new();
+        } else if acked >= COMPACT_MIN && acked >= self.snd_buf.len() - acked {
+            self.snd_buf.drain(..acked);
+            self.snd_buf.shrink_to_fit();
+            self.snd_base += acked as u64;
+        }
+    }
+
     fn send_window(&self) -> u64 {
         self.cwnd.min(self.snd_wnd as u64)
     }
@@ -230,7 +306,7 @@ impl Conn {
     }
 }
 
-/// Per-host TCP endpoint: all connections plus the three outboxes.
+/// Per-host TCP endpoint: all connections plus the outbox.
 pub struct TcpHost {
     cfg: TcpConfig,
     local_ip: Ipv4Addr,
@@ -244,9 +320,7 @@ pub struct TcpHost {
     /// Deterministic ISS counter (no randomness needed inside a simulation).
     next_iss: u32,
 
-    segments: Vec<SegmentOut>,
-    timers: Vec<TimerRequest>,
-    events: Vec<TcpEvent>,
+    out: TcpOutbox,
 }
 
 impl TcpHost {
@@ -261,30 +335,38 @@ impl TcpHost {
             next_ephemeral: 40_000,
             next_conn: 1,
             next_iss: 1_000,
-            segments: Vec::new(),
-            timers: Vec::new(),
-            events: Vec::new(),
+            out: TcpOutbox::default(),
         }
     }
 
-    /// Drain segments to transmit.
-    pub fn take_segments(&mut self) -> Vec<SegmentOut> {
-        std::mem::take(&mut self.segments)
+    /// Exchange the pending outbox for `spare`, which must be empty. The
+    /// caller drains what it got and hands the vectors back on the next
+    /// swap, so steady state allocates no outbox storage.
+    pub fn swap_outbox(&mut self, spare: &mut TcpOutbox) {
+        debug_assert!(spare.is_empty(), "swap_outbox wants an empty spare");
+        std::mem::swap(&mut self.out, spare);
     }
 
-    /// Drain timer (re)arm requests.
-    pub fn take_timer_requests(&mut self) -> Vec<TimerRequest> {
-        std::mem::take(&mut self.timers)
-    }
-
-    /// Drain application events.
-    pub fn take_events(&mut self) -> Vec<TcpEvent> {
-        std::mem::take(&mut self.events)
+    /// The payload bytes of a segment this host emitted. Valid until the
+    /// host processes another segment or timer.
+    pub fn payload(&self, seg: &SegmentOut) -> &[u8] {
+        if seg.len == 0 {
+            return &[];
+        }
+        let c = self.conns.get(&seg.conn).expect("data segment of a live connection");
+        c.snd_bytes(seg.offset, seg.len)
     }
 
     /// Number of live connections (diagnostics).
     pub fn conn_count(&self) -> usize {
         self.conns.len()
+    }
+
+    /// Bytes a connection's send buffer holds — the unacknowledged ones
+    /// plus an acknowledged prefix not yet dropped — or `None` for an
+    /// unknown connection (diagnostics).
+    pub fn send_buffered(&self, conn: ConnId) -> Option<usize> {
+        self.conns.get(&conn).map(|c| c.snd_buf.len())
     }
 
     /// Address this endpoint sends from.
@@ -323,16 +405,21 @@ impl TcpHost {
             flags: TcpFlags::SYN,
             window: wire_window(self.cfg.recv_window),
         };
-        self.segments.push(SegmentOut { dst_ip, header: hdr, payload: Vec::new() });
+        self.out.segments.push(SegmentOut::control(conn, dst_ip, hdr));
         self.conns.insert(conn, c);
         self.arm_timer(conn, now);
     }
 
-    /// Queue bytes for sending on an established (or connecting) connection.
-    pub fn send(&mut self, conn: ConnId, data: &[u8], now: SimTime) {
+    /// Queue bytes for sending on an established (or connecting)
+    /// connection. An empty send buffer adopts `data` without copying it.
+    pub fn send(&mut self, conn: ConnId, data: Vec<u8>, now: SimTime) {
         let Some(c) = self.conns.get_mut(&conn) else { return };
         debug_assert!(!c.fin_queued, "send after close");
-        c.snd_buf.extend_from_slice(data);
+        if c.snd_buf.is_empty() {
+            c.snd_buf = data;
+        } else {
+            c.snd_buf.extend_from_slice(&data);
+        }
         self.pump(conn, now);
     }
 
@@ -398,7 +485,7 @@ impl TcpHost {
                     window: wire_window(self.cfg.recv_window),
                 };
                 let dst_ip = c.peer_ip;
-                self.segments.push(SegmentOut { dst_ip, header: hdr, payload: Vec::new() });
+                self.out.segments.push(SegmentOut::control(conn, dst_ip, hdr));
                 self.arm_timer(conn, now);
             }
             State::Established | State::Closing => {
@@ -449,6 +536,7 @@ impl TcpHost {
             peer_port,
             local_port,
             iss,
+            snd_base: 0,
             snd_buf: Vec::new(),
             snd_una: 0,
             snd_nxt: 0,
@@ -493,7 +581,7 @@ impl TcpHost {
             window: wire_window(self.cfg.recv_window),
         };
         self.by_tuple.insert((src_ip, hdr.src_port, hdr.dst_port), conn);
-        self.segments.push(SegmentOut { dst_ip: src_ip, header: synack, payload: Vec::new() });
+        self.out.segments.push(SegmentOut::control(conn, src_ip, synack));
         self.conns.insert(conn, c);
         self.arm_timer(conn, now);
     }
@@ -510,7 +598,7 @@ impl TcpHost {
                     c.timer_armed = false;
                     c.timer_gen += 1;
                     let id = c.id;
-                    self.events.push(TcpEvent::Connected { conn: id });
+                    self.out.events.push(TcpEvent::Connected { conn: id });
                     self.send_ack(conn);
                     self.pump(conn, now);
                 }
@@ -522,7 +610,7 @@ impl TcpHost {
                     c.timer_armed = false;
                     c.timer_gen += 1;
                     let (id, lp, peer) = (c.id, c.local_port, (c.peer_ip, c.peer_port));
-                    self.events.push(TcpEvent::Accepted { conn: id, local_port: lp, peer });
+                    self.out.events.push(TcpEvent::Accepted { conn: id, local_port: lp, peer });
                     // The handshake ACK may carry data; fall through.
                 } else if hdr.flags.syn && !hdr.flags.ack {
                     // Duplicate SYN: re-send SYN-ACK.
@@ -535,7 +623,7 @@ impl TcpHost {
                         window: wire_window(self.cfg.recv_window),
                     };
                     let dst = c.peer_ip;
-                    self.segments.push(SegmentOut { dst_ip: dst, header: synack, payload: Vec::new() });
+                    self.out.segments.push(SegmentOut::control(conn, dst, synack));
                     return;
                 } else {
                     return;
@@ -555,7 +643,7 @@ impl TcpHost {
 
     fn process_ack(&mut self, conn: ConnId, hdr: &TcpHeader, payload_len: usize, now: SimTime) {
         let Some(c) = self.conns.get_mut(&conn) else { return };
-        let fin_offset = c.snd_buf.len() as u64; // FIN occupies this offset
+        let fin_offset = c.snd_end(); // FIN occupies this offset
         let ack_off = {
             let raw = hdr.ack.wrapping_sub(c.iss).wrapping_sub(1);
             raw as u64
@@ -575,6 +663,16 @@ impl TcpHost {
                 c.snd_nxt = c.snd_una;
             }
             c.dup_acks = 0;
+            // Bytes a segment still waiting in the outbox names stay put.
+            let pinned = self
+                .out
+                .segments
+                .iter()
+                .filter(|s| s.conn == conn && s.len > 0)
+                .map(|s| s.offset)
+                .min()
+                .unwrap_or(u64::MAX);
+            c.release_acked(c.snd_una.min(pinned));
 
             // RTT sample (Karn-safe: sample invalidated on retransmit).
             if let Some((target, sent_at)) = c.rtt_sample {
@@ -643,15 +741,14 @@ impl TcpHost {
     fn retransmit_head(&mut self, conn: ConnId, now: SimTime) {
         let Some(c) = self.conns.get_mut(&conn) else { return };
         c.rtt_sample = None; // Karn
-        let data_len = c.snd_buf.len() as u64;
+        let data_len = c.snd_end();
         if c.snd_una >= data_len {
             if c.fin_sent {
-                Self::emit_fin(&mut self.segments, c, self.cfg.recv_window);
+                Self::emit_fin(&mut self.out.segments, c, self.cfg.recv_window);
             }
         } else {
             let end = (c.snd_una + self.cfg.mss as u64).min(data_len);
-            let seg = c.snd_buf[c.snd_una as usize..end as usize].to_vec();
-            Self::emit_data(&mut self.segments, c, c.snd_una, seg, self.cfg.recv_window);
+            Self::emit_data(&mut self.out.segments, c, c.snd_una, end, self.cfg.recv_window);
         }
         self.arm_timer(conn, now);
     }
@@ -662,7 +759,7 @@ impl TcpHost {
         if !matches!(c.state, State::Established | State::Closing) {
             return;
         }
-        let data_len = c.snd_buf.len() as u64;
+        let data_len = c.snd_end();
         let mut sent_any = false;
 
         while c.snd_nxt < data_len {
@@ -676,14 +773,13 @@ impl TcpHost {
             if end == c.snd_nxt {
                 break;
             }
-            let seg = c.snd_buf[c.snd_nxt as usize..end as usize].to_vec();
             let offset = c.snd_nxt;
             c.snd_nxt = end;
             // One RTT sample at a time.
             if c.rtt_sample.is_none() {
                 c.rtt_sample = Some((end, now));
             }
-            Self::emit_data(&mut self.segments, c, offset, seg, self.cfg.recv_window);
+            Self::emit_data(&mut self.out.segments, c, offset, end, self.cfg.recv_window);
             sent_any = true;
         }
 
@@ -692,7 +788,7 @@ impl TcpHost {
         {
             c.fin_sent = true;
             c.snd_nxt = data_len + 1; // FIN consumes one sequence slot
-            Self::emit_fin(&mut self.segments, c, self.cfg.recv_window);
+            Self::emit_fin(&mut self.out.segments, c, self.cfg.recv_window);
             sent_any = true;
         }
 
@@ -701,11 +797,12 @@ impl TcpHost {
         }
     }
 
+    /// Emit the data segment carrying stream bytes `offset .. end`.
     fn emit_data(
         segments: &mut Vec<SegmentOut>,
         c: &Conn,
         offset: u64,
-        payload: Vec<u8>,
+        end: u64,
         recv_window: u32,
     ) {
         let hdr = TcpHeader {
@@ -716,19 +813,20 @@ impl TcpHost {
             flags: TcpFlags::ACK,
             window: wire_window(recv_window),
         };
-        segments.push(SegmentOut { dst_ip: c.peer_ip, header: hdr, payload });
+        let len = (end - offset) as u32;
+        segments.push(SegmentOut { conn: c.id, dst_ip: c.peer_ip, header: hdr, offset, len });
     }
 
     fn emit_fin(segments: &mut Vec<SegmentOut>, c: &Conn, recv_window: u32) {
         let hdr = TcpHeader {
             src_port: c.local_port,
             dst_port: c.peer_port,
-            seq: c.wire_seq(c.snd_buf.len() as u64),
+            seq: c.wire_seq(c.snd_end()),
             ack: c.wire_ack(),
             flags: TcpFlags::FIN_ACK,
             window: wire_window(recv_window),
         };
-        segments.push(SegmentOut { dst_ip: c.peer_ip, header: hdr, payload: Vec::new() });
+        segments.push(SegmentOut::control(c.id, c.peer_ip, hdr));
     }
 
     fn send_ack(&mut self, conn: ConnId) {
@@ -741,7 +839,7 @@ impl TcpHost {
             flags: TcpFlags::ACK,
             window: wire_window(self.cfg.recv_window),
         };
-        self.segments.push(SegmentOut { dst_ip: c.peer_ip, header: hdr, payload: Vec::new() });
+        self.out.segments.push(SegmentOut::control(conn, c.peer_ip, hdr));
     }
 
     fn process_data(&mut self, conn: ConnId, hdr: &TcpHeader, payload: &[u8], now: SimTime) {
@@ -774,7 +872,7 @@ impl TcpHost {
                         }
                     }
                     let id = c.id;
-                    self.events.push(TcpEvent::Data { conn: id, data: delivered });
+                    self.out.events.push(TcpEvent::Data { conn: id, data: delivered });
                 }
             } else {
                 // Out of order: buffer (keep the longest variant per offset).
@@ -800,7 +898,7 @@ impl TcpHost {
                 if !c.eof_delivered {
                     c.eof_delivered = true;
                     let id = c.id;
-                    self.events.push(TcpEvent::Closed { conn: id });
+                    self.out.events.push(TcpEvent::Closed { conn: id });
                 }
                 // Passive close: if the app never queued data and never
                 // closed, close now so the handshake completes.
@@ -827,7 +925,7 @@ impl TcpHost {
             if !c.eof_delivered {
                 c.eof_delivered = true;
                 let id = c.id;
-                self.events.push(TcpEvent::Closed { conn: id });
+                self.out.events.push(TcpEvent::Closed { conn: id });
             }
             // Keep the tuple mapping so late retransmissions from the peer
             // can still be acked; drop fully once the peer is also done.
@@ -852,7 +950,7 @@ impl TcpHost {
         let Some(c) = self.conns.get_mut(&conn) else { return };
         c.timer_gen += 1;
         c.timer_armed = true;
-        self.timers.push(TimerRequest {
+        self.out.timers.push(TimerRequest {
             conn,
             deadline: now + c.rto,
             generation: c.timer_gen,
@@ -891,6 +989,30 @@ fn update_rtt(c: &mut Conn, sample: SimDuration, cfg: &TcpConfig) {
     c.rto = rto.max(cfg.min_rto).min(cfg.max_rto);
 }
 
+/// A drained segment with its payload copied out, for the unit tests'
+/// fake networks.
+#[cfg(test)]
+struct Sent {
+    header: TcpHeader,
+    payload: Vec<u8>,
+}
+
+#[cfg(test)]
+impl TcpHost {
+    fn take_segments(&mut self) -> Vec<Sent> {
+        let segs = std::mem::take(&mut self.out.segments);
+        segs.iter().map(|s| Sent { header: s.header, payload: self.payload(s).to_vec() }).collect()
+    }
+
+    fn take_timer_requests(&mut self) -> Vec<TimerRequest> {
+        std::mem::take(&mut self.out.timers)
+    }
+
+    fn take_events(&mut self) -> Vec<TcpEvent> {
+        std::mem::take(&mut self.out.events)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -908,23 +1030,132 @@ mod tests {
         mut drop_filter: impl FnMut(bool, &TcpHeader, usize) -> bool,
     ) {
         for _round in 0..10_000 {
-            let from_a = a.take_segments();
-            let from_b = b.take_segments();
-            if from_a.is_empty() && from_b.is_empty() {
+            if !round(a, b, now, &mut drop_filter) {
                 return;
-            }
-            for s in from_a {
-                if !drop_filter(true, &s.header, s.payload.len()) {
-                    b.on_segment(now, A_IP, &s.header, &s.payload);
-                }
-            }
-            for s in from_b {
-                if !drop_filter(false, &s.header, s.payload.len()) {
-                    a.on_segment(now, B_IP, &s.header, &s.payload);
-                }
             }
         }
         panic!("exchange did not quiesce");
+    }
+
+    /// One round of [`exchange`]: deliver everything both sides emitted.
+    /// False when neither side had anything to send.
+    fn round(
+        a: &mut TcpHost,
+        b: &mut TcpHost,
+        now: SimTime,
+        mut drop_filter: impl FnMut(bool, &TcpHeader, usize) -> bool,
+    ) -> bool {
+        let from_a = a.take_segments();
+        let from_b = b.take_segments();
+        if from_a.is_empty() && from_b.is_empty() {
+            return false;
+        }
+        for s in from_a {
+            if !drop_filter(true, &s.header, s.payload.len()) {
+                b.on_segment(now, A_IP, &s.header, &s.payload);
+            }
+        }
+        for s in from_b {
+            if !drop_filter(false, &s.header, s.payload.len()) {
+                a.on_segment(now, B_IP, &s.header, &s.payload);
+            }
+        }
+        true
+    }
+
+    /// `(buffered, unacknowledged)` bytes of a sender's connection.
+    fn send_state(h: &TcpHost, conn: ConnId) -> (u64, u64) {
+        let c = &h.conns[&conn];
+        (c.snd_buf.len() as u64, c.snd_end() - c.snd_una.min(c.snd_end()))
+    }
+
+    #[test]
+    fn send_buffer_is_released_once_fin_is_acked_even_if_the_peer_never_closes() {
+        let (mut a, mut b) = pair();
+        b.listen(7100);
+        let conn = a.alloc_conn_id();
+        a.connect(conn, B_IP, 7100, SimTime::ZERO);
+        exchange(&mut a, &mut b, SimTime(1), |_, _, _| false);
+        a.take_events();
+
+        let data: Vec<u8> = (0..600_000u32).map(|i| (i % 249) as u8).collect();
+        a.send(conn, data.clone(), SimTime(2));
+        a.close(conn, SimTime(2));
+        // The peer's FIN never arrives, so our side never learns the
+        // connection is fully closed and keeps its state.
+        let mut dropped_head = false;
+        while round(&mut a, &mut b, SimTime(3), |from_a, h, _| !from_a && h.flags.fin) {
+            let (buffered, unacked) = send_state(&a, conn);
+            assert!(
+                buffered - unacked <= (COMPACT_MIN as u64).max(unacked),
+                "kept {} acknowledged bytes with {unacked} unacknowledged",
+                buffered - unacked
+            );
+            dropped_head |= a.conns[&conn].snd_base > 0 && unacked > 0;
+        }
+        assert!(dropped_head, "acknowledged bytes were dropped mid-transfer");
+        assert_eq!(collect_data(&b.take_events()), data, "stream intact");
+        assert!(a.take_events().iter().any(|e| matches!(e, TcpEvent::Closed { .. })));
+        assert_eq!(a.conn_count(), 1, "connection state kept: the peer never closed");
+        assert_eq!(a.send_buffered(conn), Some(0));
+        assert_eq!(a.conns[&conn].snd_buf.capacity(), 0, "storage freed, not just cleared");
+    }
+
+    #[test]
+    fn buffered_bytes_stay_within_the_window_plus_compaction_slack() {
+        // A writer that keeps one send window queued, topping up in
+        // chunks, the way a socket writer paces itself.
+        const CHUNK: usize = 16 * 1024;
+        const TOTAL: usize = 192 * CHUNK;
+        let (mut a, mut b) = pair();
+        b.listen(7100);
+        let conn = a.alloc_conn_id();
+        a.connect(conn, B_IP, 7100, SimTime::ZERO);
+        exchange(&mut a, &mut b, SimTime(1), |_, _, _| false);
+
+        let mut written = 0;
+        let mut max_buffered = 0;
+        let mut count = 0;
+        let mut now = SimTime(3);
+        for _round in 0..100_000 {
+            let window = a.conns[&conn].send_window();
+            while written < TOTAL && send_state(&a, conn).1 < window {
+                a.send(conn, vec![(written / CHUNK) as u8; CHUNK], SimTime(2));
+                written += CHUNK;
+            }
+            if written == TOTAL {
+                a.close(conn, SimTime(2));
+            }
+            // Lose one segment in 50 so fast retransmit and recovery run
+            // over a trimmed buffer too.
+            let more = round(&mut a, &mut b, now, |from_a, _, plen| {
+                count += (from_a && plen > 0) as u32;
+                from_a && plen > 0 && count % 50 == 0
+            });
+            let (buffered, unacked) = send_state(&a, conn);
+            let window = a.conns[&conn].send_window();
+            assert!(unacked <= window + CHUNK as u64, "the writer paces itself");
+            assert!(
+                buffered <= unacked + (COMPACT_MIN as u64).max(unacked),
+                "{buffered} buffered for {unacked} unacknowledged (window {window})"
+            );
+            max_buffered = max_buffered.max(buffered);
+            if !more {
+                if a.conn_count() == 0 || a.conns[&conn].fin_acked {
+                    break;
+                }
+                // A lost tail draws no duplicate ACKs: fire the RTO.
+                if let Some(t) = a.take_timer_requests().into_iter().max_by_key(|t| t.generation) {
+                    now = t.deadline;
+                    a.on_timer(t.conn, t.generation, now);
+                }
+            }
+        }
+        let got = collect_data(&b.take_events());
+        assert_eq!(got.len(), TOTAL, "stream intact");
+        assert!(got.chunks(CHUNK).enumerate().all(|(i, c)| c.iter().all(|&x| x == i as u8)));
+        assert!(max_buffered < TOTAL as u64 / 2, "buffer stayed window-sized: {max_buffered}");
+        assert_eq!(a.send_buffered(conn), Some(0));
     }
 
     fn pair() -> (TcpHost, TcpHost) {
@@ -955,7 +1186,7 @@ mod tests {
         let ev_b = b.take_events();
         assert!(matches!(ev_b[0], TcpEvent::Accepted { local_port: 7100, .. }), "{ev_b:?}");
 
-        a.send(conn, b"hello edge", SimTime(2));
+        a.send(conn, b"hello edge".to_vec(), SimTime(2));
         a.close(conn, SimTime(2));
         exchange(&mut a, &mut b, SimTime(3), |_, _, _| false);
 
@@ -984,7 +1215,7 @@ mod tests {
         b.take_events();
 
         let data: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
-        a.send(conn, &data, SimTime(2));
+        a.send(conn, data.clone(), SimTime(2));
         a.close(conn, SimTime(2));
         exchange(&mut a, &mut b, SimTime(3), |_, _, _| false);
 
@@ -1003,7 +1234,7 @@ mod tests {
         b.take_events();
 
         let data: Vec<u8> = (0..50_000u32).map(|i| (i % 253) as u8).collect();
-        a.send(conn, &data, SimTime(2));
+        a.send(conn, data.clone(), SimTime(2));
         a.close(conn, SimTime(2));
 
         // Drop exactly one data segment (the 3rd) once.
@@ -1059,7 +1290,7 @@ mod tests {
         // Send less than one window so no dupacks can be generated, then
         // drop the final data segment: only RTO can recover.
         let data = vec![7u8; 3 * 1400];
-        a.send(conn, &data, SimTime(2));
+        a.send(conn, data.clone(), SimTime(2));
         let mut data_segs = 0;
         exchange(&mut a, &mut b, SimTime(3), |from_a, _h, plen| {
             if from_a && plen > 0 {
@@ -1112,7 +1343,7 @@ mod tests {
 
         let before = a.conns[&conn].cwnd;
         let data = vec![1u8; 200_000];
-        a.send(conn, &data, SimTime(2));
+        a.send(conn, data.clone(), SimTime(2));
         exchange(&mut a, &mut b, SimTime(3), |_, _, _| false);
         let after = a.conns[&conn].cwnd;
         assert!(after > before, "cwnd grew: {before} -> {after}");
@@ -1128,7 +1359,7 @@ mod tests {
         exchange(&mut a, &mut b, SimTime(1), |_, _, _| false);
 
         let data = vec![1u8; 500_000];
-        a.send(conn, &data, SimTime(2));
+        a.send(conn, data.clone(), SimTime(2));
         let mut count = 0;
         exchange(&mut a, &mut b, SimTime(3), |from_a, _h, plen| {
             if from_a && plen > 0 {
@@ -1166,8 +1397,8 @@ mod tests {
             }
         }
 
-        a.send(c1, b"first", SimTime(2));
-        a.send(c2, b"second", SimTime(2));
+        a.send(c1, b"first".to_vec(), SimTime(2));
+        a.send(c2, b"second".to_vec(), SimTime(2));
         a.close(c1, SimTime(2));
         a.close(c2, SimTime(2));
         exchange(&mut a, &mut b, SimTime(3), |_, _, _| false);
@@ -1253,7 +1484,7 @@ mod window_tests {
         b.take_events();
 
         // Queue much more than the window; count unacked bytes in flight.
-        a.send(conn, &vec![0u8; 100_000], SimTime(2));
+        a.send(conn, vec![0u8; 100_000], SimTime(2));
         let in_flight: usize = a.take_segments().iter().map(|s| s.payload.len()).sum();
         assert!(in_flight <= 4096 + 64, "flight {in_flight} bounded by peer window");
     }
@@ -1295,7 +1526,7 @@ mod window_tests {
         b.take_events();
 
         let data: Vec<u8> = (0..7000u32).map(|i| (i % 251) as u8).collect();
-        a.send(conn, &data, SimTime(2));
+        a.send(conn, data.clone(), SimTime(2));
         // Deliver the sender's burst in REVERSE order.
         let segs = a.take_segments();
         assert!(segs.len() >= 3, "several segments in flight");

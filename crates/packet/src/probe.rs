@@ -16,7 +16,7 @@
 //! exactly like `egress_ts_ns` of inter-switch records.
 
 use crate::geneve::GeneveOption;
-use crate::int::IntStack;
+use crate::int::{IntRecord, IntStack};
 use crate::wire::{need, WireDecode, WireEncode};
 use crate::{PacketError, Result};
 use bytes::{Buf, BufMut};
@@ -45,10 +45,42 @@ impl ProbePayload {
         ProbePayload { origin_node, seq, sent_ts_ns, int: IntStack::new() }
     }
 
+    /// Byte offset of the INT stack (its 2-byte hop count) in an encoded
+    /// payload.
+    pub const STACK_OFFSET: usize = GeneveOption::LEN + Self::FIXED_LEN;
+
     /// Timestamp the *next* switch should use as the upstream egress time:
     /// the last switch's egress stamp, or the host send time for hop one.
     pub fn upstream_egress_ts_ns(&self) -> u64 {
         self.int.last().map(|r| r.egress_ts_ns).unwrap_or(self.sent_ts_ns)
+    }
+
+    /// The hop count of an encoded payload, read in place: `Some` exactly
+    /// when [`ProbePayload::decode`] would accept `payload` (bytes past
+    /// the stack are ignored, as decode ignores them).
+    pub fn peek_hop_count(payload: &[u8]) -> Option<usize> {
+        let mut shim = payload;
+        if !GeneveOption::decode(&mut shim).is_ok_and(|o| o.is_int_probe()) {
+            return None;
+        }
+        let count = payload.get(Self::STACK_OFFSET..Self::STACK_OFFSET + 2)?;
+        let hops = u16::from_be_bytes([count[0], count[1]]) as usize;
+        let stack_end = Self::STACK_OFFSET + 2 + hops * IntRecord::LEN;
+        (hops <= IntStack::MAX_HOPS && payload.len() >= stack_end).then_some(hops)
+    }
+
+    /// [`ProbePayload::upstream_egress_ts_ns`] of an encoded payload, read
+    /// in place; `None` when decode would reject it.
+    pub fn peek_upstream_egress_ts_ns(payload: &[u8]) -> Option<u64> {
+        let hops = Self::peek_hop_count(payload)?;
+        let at = match hops {
+            // `sent_ts_ns` follows `origin_node` and `seq`.
+            0 => GeneveOption::LEN + 4 + 8,
+            // `egress_ts_ns` closes the last record.
+            n => Self::STACK_OFFSET + 2 + n * IntRecord::LEN - 8,
+        };
+        let ts = payload[at..at + 8].try_into().expect("eight bytes");
+        Some(u64::from_be_bytes(ts))
     }
 }
 
@@ -178,6 +210,48 @@ mod tests {
         let bytes = r.to_bytes();
         assert_eq!(bytes.len(), r.encoded_len());
         assert_eq!(RelayedProbe::decode(&mut &bytes[..]).unwrap(), r);
+    }
+
+    #[test]
+    fn peeks_agree_with_decode() {
+        let rec = |ts| IntRecord {
+            switch_id: 1,
+            ingress_port: 0,
+            egress_port: 1,
+            max_qlen_pkts: 0,
+            qlen_at_probe_pkts: 0,
+            link_latency_ns: 0,
+            egress_ts_ns: ts,
+        };
+        let fresh = ProbePayload::new(1, 2, 500).to_bytes();
+        let mut two = ProbePayload::new(1, 2, 500);
+        two.int.push(rec(7_000));
+        two.int.push(rec(9_000));
+        let two = two.to_bytes();
+        let mut cases = vec![fresh.clone(), two.clone()];
+        let mut trailing = two.clone();
+        trailing.extend_from_slice(&[0xEE; 5]);
+        cases.push(trailing);
+        cases.push(two[..two.len() - 1].to_vec()); // truncated record
+        cases.push(fresh[..ProbePayload::STACK_OFFSET + 1].to_vec()); // no count
+        let mut bad_shim = fresh.clone();
+        bad_shim[6] = 0x7F;
+        cases.push(bad_shim);
+        let mut too_many = fresh.clone();
+        let over = (IntStack::MAX_HOPS as u16 + 1).to_be_bytes();
+        too_many[ProbePayload::STACK_OFFSET..ProbePayload::STACK_OFFSET + 2].copy_from_slice(&over);
+        cases.push(too_many);
+        for bytes in &cases {
+            let decoded = ProbePayload::decode(&mut &bytes[..]).ok();
+            let hops = decoded.as_ref().map(|p| p.int.hop_count());
+            assert_eq!(ProbePayload::peek_hop_count(bytes), hops);
+            assert_eq!(
+                ProbePayload::peek_upstream_egress_ts_ns(bytes),
+                decoded.as_ref().map(ProbePayload::upstream_egress_ts_ns)
+            );
+        }
+        assert_eq!(ProbePayload::peek_upstream_egress_ts_ns(&fresh), Some(500));
+        assert_eq!(ProbePayload::peek_upstream_egress_ts_ns(&two), Some(9_000));
     }
 
     #[test]

@@ -43,6 +43,9 @@ echo "$bench_log"
 # sim_throughput/clos_obs_on guards the engine's dense metric series: a
 # 512-port Clos with metrics on, where a per-record cost that grows with
 # the series count would show.
+# tcp_transfer/1MB_through_switch and tcp_transfer/6MB_peer_stays_open guard
+# the TCP bulk path: segments encoded straight from a send buffer that
+# drops acknowledged bytes, on a closed and on a never-closed connection.
 for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_table/lpm_linear/512 \
             rank_throughput/testbed_8h rank_throughput/fabric_64s_128h \
             rank_throughput/fabric_64s_128h_nearest rank_throughput/fabric_64s_128h_fresh_now \
@@ -52,6 +55,7 @@ for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_tabl
             fabric_build/clos_128s_240h \
             sim_throughput/domains_1 sim_throughput/domains_2 sim_throughput/domains_4 \
             sim_throughput/clos_obs_on \
+            tcp_transfer/1MB_through_switch tcp_transfer/6MB_peer_stays_open \
             publish_throughput/clos_512s/full publish_throughput/clos_512s/incremental \
             ingest_throughput/clos_512s_960probes; do
     grep -q "$name" <<<"$bench_log" \

@@ -3,7 +3,7 @@
 //! conservation, and TCP stream integrity under arbitrary loss patterns.
 
 use int_edge_sched::dataplane::{Key, MatchActionTable, MatchKind, RegisterArray};
-use int_edge_sched::netsim::tcp::{TcpConfig, TcpHost};
+use int_edge_sched::netsim::tcp::{TcpConfig, TcpHost, TcpOutbox};
 use int_edge_sched::netsim::topology::{ClosParams, FatTreeParams, LinkParams};
 use int_edge_sched::netsim::{DropTailQueue, EventQueue, NodeKind, RouteTable, SimTime};
 use proptest::prelude::*;
@@ -233,7 +233,7 @@ proptest! {
         a.connect(conn, b_ip, 7100, SimTime(0));
 
         let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-        a.send(conn, &data, SimTime(0));
+        a.send(conn, data.clone(), SimTime(0));
         a.close(conn, SimTime(0));
 
         let mut received = Vec::new();
@@ -241,12 +241,14 @@ proptest! {
         let mut pkt_counter = 0u32;
         let mut pending_a: Vec<int_edge_sched::netsim::tcp::TimerRequest> = Vec::new();
         let mut pending_b: Vec<int_edge_sched::netsim::tcp::TimerRequest> = Vec::new();
+        let mut out_a = TcpOutbox::default();
+        let mut out_b = TcpOutbox::default();
         // Drive the pair: exchange segments (dropping per the mask), firing
         // every pending timer when the network goes quiet.
         for _round in 0..10_000 {
-            let from_a = a.take_segments();
-            let from_b = b.take_segments();
-            let quiet = from_a.is_empty() && from_b.is_empty();
+            a.swap_outbox(&mut out_a);
+            b.swap_outbox(&mut out_b);
+            let quiet = out_a.segments.is_empty() && out_b.segments.is_empty();
             // The mask drops data/FIN segments (retransmitted without
             // limit); handshake segments are spared because connects give
             // up after a bounded number of SYN retries, by design.
@@ -257,29 +259,32 @@ proptest! {
                 pkt_counter += 1;
                 pkt_counter < 64 && (loss_mask >> (pkt_counter % 64)) & 1 == 1
             };
-            for s in from_a {
-                if !lossy(&s.header, s.payload.len()) {
-                    b.on_segment(SimTime(now), a_ip, &s.header, &s.payload);
+            // A segment's payload is read from its sender's buffer, which
+            // that sender's next input may release: `a`'s segments are read
+            // before `a` hears from `b`, and `b` sends no payload.
+            for s in out_a.segments.drain(..) {
+                if !lossy(&s.header, s.len as usize) {
+                    b.on_segment(SimTime(now), a_ip, &s.header, a.payload(&s));
                 }
             }
-            for s in from_b {
-                if !lossy(&s.header, s.payload.len()) {
-                    a.on_segment(SimTime(now), b_ip, &s.header, &s.payload);
+            for s in out_b.segments.drain(..) {
+                if !lossy(&s.header, s.len as usize) {
+                    a.on_segment(SimTime(now), b_ip, &s.header, b.payload(&s));
                 }
             }
-            for e in b.take_events() {
+            for e in out_b.events.drain(..) {
                 if let int_edge_sched::netsim::TcpEvent::Data { data, .. } = e {
                     received.extend_from_slice(&data);
                 }
             }
-            a.take_events();
+            out_a.events.clear();
             if received.len() == len {
                 break;
             }
             // Collect timer arms from both sides (stale generations are
             // filtered by the hosts when fired).
-            pending_a.extend(a.take_timer_requests());
-            pending_b.extend(b.take_timer_requests());
+            pending_a.append(&mut out_a.timers);
+            pending_b.append(&mut out_b.timers);
             if quiet {
                 // Network idle: advance time and fire everything pending.
                 now += 2_000_000_000;
